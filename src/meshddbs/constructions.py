@@ -6,23 +6,28 @@ Seven families are built here, all in doubled coordinates:
 * ``cycle``  a rectangle perimeter, the degree-2 optimum for either
   diameter parity: side lengths 1 x (2p-1) give a 4p-cycle of diameter
   2p, side lengths 1 x 2p give a (4p+2)-cycle of diameter 2p+1.
-* ``e``      the even-lattice core family: a tree of stacked copies of
-  the (k-1)-dimensional core along axis k, joined by a spine of copy
-  centers.  Degree stays at most 4, every vertex is within p of the
-  origin.
-* ``eprime`` the enlarged even family: the stack starts two levels out,
-  both innermost levels carry radius p-1 copies (the enlarged family on
-  the minus side, the core family on the plus side), and the otherwise
-  empty central plane is filled with degree-1 vertices hanging from the
-  plus-side copy.
-* ``o``      the odd-lattice core family: same stacking idea, but built
-  over a two-chain spine through the pair of centers at true
-  coordinates (+-1/2, 0, ..., 0).  The two centers are deliberately not
-  joined, keeping both at degree 2.
-* ``oprime`` the enlarged odd family, mirroring ``eprime``.
+* ``e``      the even-lattice core family.  Degree stays at most 4,
+  every vertex is within p of the origin.
+* ``eprime`` the enlarged even family.
+* ``o``      the odd-lattice core family, centered on the pair of points
+  at true coordinates (+-1/2, 0, ..., 0).
+* ``oprime`` the enlarged odd family.
 * ``g3``     the degree-3 family: stacked planes of the
   (k-1)-dimensional build at one quarter radius, chained through a
   designated adjacent vertex pair per plane.
+
+The four degree-4 families share one stacking recipe.  Copies of the
+(k-1)-dimensional build of radius p-i sit at levels x_k = +-i for
+1 <= i <= p-2, and a spine along axis k through each center joins the
+copy centers.  The even families have one spine through the origin,
+which is the only vertex of the central plane.  The odd families have
+two spines, deliberately not joined, keeping both centers at degree 2.
+The enlarged variants start the stack two levels out, put radius p-1
+copies on both innermost levels (the enlarged family on the minus side,
+the core family on the plus side), and fill the otherwise empty central
+plane with degree-1 vertices hanging from the plus-side copy.  The
+recursion passes raw vertex and edge sets between levels and builds
+one ``MeshGraph`` at the end.
 
 Builders are pure functions of their arguments; building twice yields
 identical graphs.  For k >= 2 and p < 3 the stacked families degenerate
@@ -39,6 +44,7 @@ from .lattice_core import (
     LatticeParity,
     MeshGraph,
     Point,
+    _int_at_least,
 )
 
 EVEN = LatticeParity.EVEN
@@ -54,9 +60,9 @@ class BuildParams:
     parity: LatticeParity = EVEN
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+        if not _int_at_least(self.k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {self.k!r}")
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 0:
+        if not _int_at_least(self.p, 0):
             raise ValueError(f"radius parameter p must be an integer >= 0, got {self.p!r}")
         if not isinstance(self.parity, LatticeParity):
             raise ValueError(f"parity must be a LatticeParity, got {self.parity!r}")
@@ -70,65 +76,26 @@ class FreePair(NamedTuple):
 
 
 # ============================================================
-# One-dimensional base paths
+# Shared stacking recipe
 # ============================================================
 
-def _even_axis_path(family: str, k: int, p: int) -> CenteredGraph:
-    """Even-lattice path spanning true [-p, p] along axis 1."""
-    verts = [(2 * t,) + (0,) * (k - 1) for t in range(-p, p + 1)]
-    edges = [(verts[i], verts[i + 1]) for i in range(len(verts) - 1)]
-    g = MeshGraph(EVEN, k, verts, edges)
-    return CenteredGraph(g, ((0,) * k,), p, family)
+def _centers(odd: bool, k: int) -> tuple:
+    """The origin on the even lattice, (+-1, 0, ..., 0) on the odd one."""
+    if odd:
+        return ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
+    return ((0,) * k,)
 
 
-def _odd_axis_path(family: str, k: int, p: int) -> CenteredGraph:
-    """Odd-lattice path spanning true [-p - 1/2, p + 1/2] along axis 1."""
-    verts = [(h,) + (0,) * (k - 1) for h in range(-(2 * p + 1), 2 * p + 2, 2)]
-    edges = [(verts[i], verts[i + 1]) for i in range(len(verts) - 1)]
-    g = MeshGraph(ODD, k, verts, edges)
-    centers = ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
-    return CenteredGraph(g, centers, p, family)
+def _lift(sub, level2: int):
+    """Copy raw (k-1)-dimensional (vertices, edges) into dimension k at doubled level."""
+    verts, edges = sub
+    return (
+        [v + (level2,) for v in verts],
+        [(a + (level2,), b + (level2,)) for a, b in edges],
+    )
 
 
-def _lift(cg: CenteredGraph, level2: int):
-    """Copy a (k-1)-dimensional build into dimension k at doubled level."""
-    verts = [v + (level2,) for v in cg.graph.vertices]
-    edges = [(a + (level2,), b + (level2,)) for a, b in cg.graph.edges]
-    return verts, edges
-
-
-# ============================================================
-# Even-lattice stacked families
-# ============================================================
-
-def build_even_core(k: int, p: int) -> CenteredGraph:
-    """Family ``e``: the degree-4 even-lattice tree of radius p.
-
-    Copies of the (k-1)-dimensional core of radius p-i sit at levels
-    x_k = +-i for 1 <= i <= p-2.  A spine joins the copy centers through
-    the origin, which is the only vertex of the central plane.
-    """
-    BuildParams(k, p)
-    if k == 1 or p < 3:
-        return _even_axis_path("e", k, p)
-    verts = set()
-    edges = set()
-    for i in range(1, p - 1):
-        sub = build_even_core(k - 1, p - i)
-        for level2 in (2 * i, -2 * i):
-            sv, se = _lift(sub, level2)
-            verts.update(sv)
-            edges.update(se)
-    origin = (0,) * k
-    verts.add(origin)
-    zeros = (0,) * (k - 1)
-    for j in range(-(p - 2), p - 2):
-        edges.add((zeros + (2 * j,), zeros + (2 * j + 2,)))
-    g = MeshGraph(EVEN, k, verts, edges)
-    return CenteredGraph(g, (origin,), p, "e")
-
-
-def _central_plane_pendants(plus_copy: CenteredGraph, p: int, odd_first: bool):
+def _central_plane_pendants(plus_verts, p: int, odd: bool):
     """Degree-1 vertices filling the central plane of an enlarged family.
 
     Each pendant sits at (v, 0) and hangs from the vertex (v, 1) of the
@@ -147,10 +114,10 @@ def _central_plane_pendants(plus_copy: CenteredGraph, p: int, odd_first: bool):
     limit = 2 * (p - 2)
     verts = []
     edges = []
-    for w in plus_copy.graph.vertices:
+    for w in plus_verts:
         if sum(abs(c) for c in w) > limit:
             continue
-        if odd_first:
+        if odd:
             if abs(w[-1]) > 2 * p - 3:
                 continue
             if w[0] in (1, -1):
@@ -165,6 +132,62 @@ def _central_plane_pendants(plus_copy: CenteredGraph, p: int, odd_first: bool):
     return verts, edges
 
 
+def _stack(odd: bool, enlarged: bool, k: int, p: int, memo: dict):
+    """Raw (vertices, edges) of family e, eprime, o or oprime.
+
+    Follows the stacking recipe in the module docstring.  For k == 1 or
+    p < 3 the result is the axis path spanning true [-p, p] (even) or
+    [-p - 1/2, p + 1/2] (odd).  ``memo`` maps (enlarged, k, p) to a
+    finished sub-build, so each one is built once per public call.
+    """
+    key = (enlarged, k, p)
+    if key in memo:
+        return memo[key]
+    if k == 1 or p < 3:
+        top = 2 * p + odd
+        path = [(x,) + (0,) * (k - 1) for x in range(-top, top + 1, 2)]
+        memo[key] = path, list(zip(path, path[1:]))
+        return memo[key]
+    layers = []
+    for i in range(2 if enlarged else 1, p - 1):
+        sub = _stack(odd, enlarged, k - 1, p - i, memo)
+        layers += [_lift(sub, 2 * i), _lift(sub, -2 * i)]
+    if enlarged:
+        core = _stack(odd, False, k - 1, p - 1, memo)
+        layers += [
+            _lift(_stack(odd, True, k - 1, p - 1, memo), -2),
+            _lift(core, 2),
+            _central_plane_pendants(core[0], p, odd),
+        ]
+    centers = _centers(odd, k)
+    verts = set(centers)
+    edges = set()
+    for sv, se in layers:
+        verts.update(sv)
+        edges.update(se)
+    for c in centers:
+        for j in range(-(p - 2), p - 2):
+            edges.add((c[:-1] + (2 * j,), c[:-1] + (2 * j + 2,)))
+    memo[key] = verts, edges
+    return memo[key]
+
+
+# ============================================================
+# Degree-4 stacked families
+# ============================================================
+
+def build_even_core(k: int, p: int) -> CenteredGraph:
+    """Family ``e``: the degree-4 even-lattice tree of radius p.
+
+    Copies of the (k-1)-dimensional core of radius p-i sit at levels
+    x_k = +-i for 1 <= i <= p-2.  A spine joins the copy centers through
+    the origin, which is the only vertex of the central plane.
+    """
+    BuildParams(k, p)
+    verts, edges = _stack(False, False, k, p, {})
+    return CenteredGraph(MeshGraph(EVEN, k, verts, edges), _centers(False, k), p, "e")
+
+
 def build_even_extended(k: int, p: int) -> CenteredGraph:
     """Family ``eprime``: the enlarged degree-4 even-lattice tree.
 
@@ -173,51 +196,8 @@ def build_even_extended(k: int, p: int) -> CenteredGraph:
     core on the plus side), and the central plane gains pendants.
     """
     BuildParams(k, p)
-    if k == 1 or p < 3:
-        return _even_axis_path("eprime", k, p)
-    verts = set()
-    edges = set()
-    for i in range(2, p - 1):
-        sub = build_even_extended(k - 1, p - i)
-        for level2 in (2 * i, -2 * i):
-            sv, se = _lift(sub, level2)
-            verts.update(sv)
-            edges.update(se)
-    minus = build_even_extended(k - 1, p - 1)
-    sv, se = _lift(minus, -2)
-    verts.update(sv)
-    edges.update(se)
-    plus = build_even_core(k - 1, p - 1)
-    sv, se = _lift(plus, 2)
-    verts.update(sv)
-    edges.update(se)
-    origin = (0,) * k
-    verts.add(origin)
-    zeros = (0,) * (k - 1)
-    for j in range(-(p - 2), p - 2):
-        edges.add((zeros + (2 * j,), zeros + (2 * j + 2,)))
-    pv, pe = _central_plane_pendants(plus, p, odd_first=False)
-    verts.update(pv)
-    edges.update(pe)
-    g = MeshGraph(EVEN, k, verts, edges)
-    return CenteredGraph(g, (origin,), p, "eprime")
-
-
-# ============================================================
-# Odd-lattice stacked families
-# ============================================================
-
-def _double_spine(k: int, p: int, verts: set, edges: set) -> None:
-    """Two vertical chains through the center pair, levels -(p-2)..p-2.
-
-    The chains pass through (+-1, 0, ..., 0, 2j) in doubled coordinates.
-    No rung joins the two chains: the centers must stay at degree 2.
-    """
-    zeros = (0,) * (k - 2)
-    for s in (-1, 1):
-        verts.add((s,) + zeros + (0,))
-        for j in range(-(p - 2), p - 2):
-            edges.add(((s,) + zeros + (2 * j,), (s,) + zeros + (2 * j + 2,)))
+    verts, edges = _stack(False, True, k, p, {})
+    return CenteredGraph(MeshGraph(EVEN, k, verts, edges), _centers(False, k), p, "eprime")
 
 
 def build_odd_core(k: int, p: int) -> CenteredGraph:
@@ -228,50 +208,15 @@ def build_odd_core(k: int, p: int) -> CenteredGraph:
     vertex ends up within p of one center and within p+1 of the other.
     """
     BuildParams(k, p)
-    if k == 1 or p < 3:
-        return _odd_axis_path("o", k, p)
-    verts = set()
-    edges = set()
-    for i in range(1, p - 1):
-        sub = build_odd_core(k - 1, p - i)
-        for level2 in (2 * i, -2 * i):
-            sv, se = _lift(sub, level2)
-            verts.update(sv)
-            edges.update(se)
-    _double_spine(k, p, verts, edges)
-    centers = ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
-    g = MeshGraph(ODD, k, verts, edges)
-    return CenteredGraph(g, centers, p, "o")
+    verts, edges = _stack(True, False, k, p, {})
+    return CenteredGraph(MeshGraph(ODD, k, verts, edges), _centers(True, k), p, "o")
 
 
 def build_odd_extended(k: int, p: int) -> CenteredGraph:
     """Family ``oprime``: the enlarged degree-4 odd-lattice family."""
     BuildParams(k, p)
-    if k == 1 or p < 3:
-        return _odd_axis_path("oprime", k, p)
-    verts = set()
-    edges = set()
-    for i in range(2, p - 1):
-        sub = build_odd_extended(k - 1, p - i)
-        for level2 in (2 * i, -2 * i):
-            sv, se = _lift(sub, level2)
-            verts.update(sv)
-            edges.update(se)
-    minus = build_odd_extended(k - 1, p - 1)
-    sv, se = _lift(minus, -2)
-    verts.update(sv)
-    edges.update(se)
-    plus = build_odd_core(k - 1, p - 1)
-    sv, se = _lift(plus, 2)
-    verts.update(sv)
-    edges.update(se)
-    _double_spine(k, p, verts, edges)
-    pv, pe = _central_plane_pendants(plus, p, odd_first=True)
-    verts.update(pv)
-    edges.update(pe)
-    centers = ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
-    g = MeshGraph(ODD, k, verts, edges)
-    return CenteredGraph(g, centers, p, "oprime")
+    verts, edges = _stack(True, True, k, p, {})
+    return CenteredGraph(MeshGraph(ODD, k, verts, edges), _centers(True, k), p, "oprime")
 
 
 # ============================================================
@@ -323,15 +268,17 @@ def build_degree_three(k: int, p: int) -> CenteredGraph:
             f"family g3 needs p >= 4^(k-1) = {least} at k = {k}, got p = {p}"
         )
     if k == 1:
-        return _even_axis_path("g3", 1, p)
+        verts, edges = _stack(False, False, 1, p, {})
+        return CenteredGraph(MeshGraph(EVEN, 1, verts, edges), _centers(False, 1), p, "g3")
     m = -(-p // 4) - 1
     q = p // 4
     inner = build_degree_three(k - 1, q)
     pair = find_free_pair(inner.graph)
+    raw = (inner.graph.vertices, inner.graph.edges)
     verts = set()
     edges = set()
     for i in range(-m, m + 1):
-        sv, se = _lift(inner, 2 * i)
+        sv, se = _lift(raw, 2 * i)
         verts.update(sv)
         edges.update(se)
         if i % 2 == 0:
@@ -385,11 +332,7 @@ def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
     edges.append((bottom[0], top[0]))
     edges.append((bottom[-1], top[-1]))
     g = MeshGraph(parity, k, bottom + top, edges)
-    if parity is EVEN:
-        centers = ((0,) * k,)
-    else:
-        centers = ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
-    return CenteredGraph(g, centers, p, "cycle")
+    return CenteredGraph(g, _centers(parity is ODD, k), p, "cycle")
 
 
 # ============================================================

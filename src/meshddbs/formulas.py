@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .lattice_core import LatticeParity, Point
+from .lattice_core import LatticeParity, Point, _int_at_least
 
 #: Refuse to materialise balls with more points than this by default.
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -31,9 +31,9 @@ class BallSpec:
     def __post_init__(self):
         if not isinstance(self.parity, LatticeParity):
             raise ValueError(f"parity must be a LatticeParity, got {self.parity!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _int_at_least(self.k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {self.k!r}")
-        if not isinstance(self.p, int) or self.p < 0:
+        if not _int_at_least(self.p, 0):
             raise ValueError(f"radius parameter p must be an integer >= 0, got {self.p!r}")
 
 
@@ -134,7 +134,7 @@ def leading_terms(parity: LatticeParity, k: int) -> AsymptoticTerms:
     Raises:
         ValueError: k < 1.
     """
-    if not isinstance(k, int) or k < 1:
+    if not _int_at_least(k, 1):
         raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
     lead = Fraction(1 << k, factorial(k))
     if parity is LatticeParity.EVEN:

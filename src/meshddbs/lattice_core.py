@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +40,11 @@ class LatticeParity(Enum):
 
     EVEN = "even"
     ODD = "odd"
+
+
+def _int_at_least(x, least: int) -> bool:
+    """True for an int that is not a bool and is at least ``least``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
 
 
 def validate_point(coords, k: int, parity: LatticeParity) -> Point:
@@ -121,7 +125,7 @@ class MeshGraph:
     def __init__(self, parity: LatticeParity, k: int, vertices, edges):
         if not isinstance(parity, LatticeParity):
             raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
-        if not isinstance(k, int) or k < 1:
+        if not _int_at_least(k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
         vts = sorted({tuple(v) for v in vertices})
         for v in vts:
@@ -205,11 +209,11 @@ class MeshGraph:
 
 
 def _int_bfs(iadj: list, src: int) -> list:
+    """Hop counts from ``src`` over adjacency lists, -1 where unreachable."""
     dist = [-1] * len(iadj)
     dist[src] = 0
-    queue = deque((src,))
-    while queue:
-        u = queue.popleft()
+    queue = [src]
+    for u in queue:
         du = dist[u] + 1
         for w in iadj[u]:
             if dist[w] < 0:
@@ -318,7 +322,7 @@ class CenteredGraph:
     def __post_init__(self):
         if self.family not in FAMILY_CODES:
             raise ValueError(f"unknown family code {self.family!r}")
-        if not isinstance(self.p, int) or self.p < 0:
+        if not _int_at_least(self.p, 0):
             raise ValueError(f"radius parameter p must be an integer >= 0, got {self.p!r}")
         centers = tuple(sorted(tuple(c) for c in self.centers))
         object.__setattr__(self, "centers", centers)
@@ -375,22 +379,30 @@ def mesh_from_obj(obj: dict):
     except ValueError:
         raise ValueError(f"unknown parity {obj['parity']!r}") from None
     k = obj["k"]
-    verts = [tuple(v) for v in obj["vertices"]]
+    raw = obj["vertices"]
+    if not isinstance(raw, list) or not all(isinstance(v, list) for v in raw):
+        raise ValueError("field vertices must be a list of coordinate lists")
+    verts = [tuple(v) for v in raw]
     n = len(verts)
+    if not isinstance(obj["edges"], list):
+        raise ValueError("field edges must be a list of index pairs")
     edges = []
     for pair in obj["edges"]:
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"edge {pair!r} is not an index pair")
+        if not all(_int_at_least(i, 0) and i < n for i in pair):
             raise ValueError(f"edge index pair {pair!r} is out of range")
-        edges.append((verts[i], verts[j]))
+        edges.append((verts[pair[0]], verts[pair[1]]))
     g = MeshGraph(parity, k, verts, edges)
+    if not isinstance(obj["centers"], list):
+        raise ValueError("field centers must be a list of vertex indices")
     centers = []
     for i in obj["centers"]:
-        if not (0 <= i < n):
+        if not (_int_at_least(i, 0) and i < n):
             raise ValueError(f"center index {i!r} is out of range")
         centers.append(verts[i])
     p = obj["p"]
-    if not isinstance(p, int) or p < 0:
+    if not _int_at_least(p, 0):
         raise ValueError(f"field p must be an integer >= 0, got {p!r}")
     return g, tuple(centers), obj["family"], p
 

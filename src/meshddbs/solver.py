@@ -32,6 +32,8 @@ from .lattice_core import (
     INFINITE,
     LatticeParity,
     MeshGraph,
+    _int_at_least,
+    _int_bfs,
     diameter,
     max_degree,
     mesh_from_obj,
@@ -66,19 +68,22 @@ class SolveRequest:
     region_cap: int = DEFAULT_REGION_CAP
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+        if not _int_at_least(self.k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {self.k!r}")
-        if not isinstance(self.delta, int) or isinstance(self.delta, bool) or self.delta < 1:
+        if not _int_at_least(self.delta, 1):
             raise ValueError(f"degree bound must be an integer >= 1, got {self.delta!r}")
-        if not isinstance(self.diameter, int) or isinstance(self.diameter, bool) or self.diameter < 0:
+        if not _int_at_least(self.diameter, 0):
             raise ValueError(f"diameter bound must be an integer >= 0, got {self.diameter!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_nodes is not None and (not isinstance(self.max_nodes, int) or self.max_nodes < 1):
+        if self.max_nodes is not None and not _int_at_least(self.max_nodes, 1):
             raise ValueError(f"max_nodes must be a positive integer or None, got {self.max_nodes!r}")
-        if self.max_seconds is not None and not self.max_seconds > 0:
-            raise ValueError(f"max_seconds must be positive or None, got {self.max_seconds!r}")
-        if not isinstance(self.region_cap, int) or self.region_cap < 1:
+        secs = self.max_seconds
+        if secs is not None and (
+            isinstance(secs, bool) or not isinstance(secs, (int, float)) or not secs > 0
+        ):
+            raise ValueError(f"max_seconds must be positive or None, got {secs!r}")
+        if not _int_at_least(self.region_cap, 1):
             raise ValueError(f"region_cap must be a positive integer, got {self.region_cap!r}")
 
 
@@ -114,9 +119,9 @@ class _Budget:
         self.nodes = 0
 
     def spend(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+        if self.max_nodes is not None and self.nodes >= self.max_nodes:
             raise _BudgetExceeded(f"node budget {self.max_nodes} exhausted")
+        self.nodes += 1
         if self.deadline is not None and (self.nodes & 0xFF) == 0:
             if time.monotonic() > self.deadline:
                 raise _BudgetExceeded("time budget exhausted")
@@ -128,22 +133,6 @@ def _bipartite_moore(delta: int, d: int) -> int:
     return 2 * sum((delta - 1) ** i for i in range(d))
 
 
-def _ball_points(k: int, radius: int) -> list:
-    """All true-coordinate integer points with taxicab norm <= radius."""
-    pts = []
-
-    def walk(prefix, budget):
-        if len(prefix) == k - 1:
-            for c in range(-budget, budget + 1):
-                pts.append(prefix + (c,))
-            return
-        for c in range(-budget, budget + 1):
-            walk(prefix + (c,), budget - abs(c))
-
-    walk((), radius)
-    return pts
-
-
 def _canonical(pt) -> bool:
     # Origin, or first nonzero coordinate positive: the half of the
     # ball that can follow a lexicographically minimal origin.
@@ -153,29 +142,23 @@ def _canonical(pt) -> bool:
     return True
 
 
-def _mask_bfs(adj, src, n):
-    dist = [-1] * n
-    dist[src] = 0
-    frontier = 1 << src
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
+def _reach(adj, src_bit, allowed, hops):
+    """Bitmask of vertices within ``hops`` of ``src_bit`` inside ``allowed``."""
+    reach = src_bit
+    frontier = src_bit
+    for _ in range(hops):
         nxt = 0
         f = frontier
         while f:
             b = f & -f
             nxt |= adj[b.bit_length() - 1]
             f ^= b
-        nxt &= ~seen
-        seen |= nxt
-        f = nxt
-        while f:
-            b = f & -f
-            dist[b.bit_length() - 1] = d
-            f ^= b
+        nxt &= allowed & ~reach
+        if not nxt:
+            break
+        reach |= nxt
         frontier = nxt
-    return dist
+    return reach
 
 
 class _Search:
@@ -196,23 +179,6 @@ class _Search:
             return [0], []
         return self._rec([0], 1, self.compat[0])
 
-    def _reach_within(self, src_bit, allowed):
-        reach = src_bit
-        frontier = src_bit
-        for _ in range(self.bound):
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= self.adj[b.bit_length() - 1]
-                f ^= b
-            nxt &= allowed & ~reach
-            if not nxt:
-                break
-            reach |= nxt
-            frontier = nxt
-        return reach
-
     def _rec(self, chosen, smask, cand):
         self.budget.spend()
         need = self.target - len(chosen)
@@ -225,7 +191,7 @@ class _Search:
         # lose paths, so failure here dooms the whole subtree.
         allowed = smask | cand
         for i in chosen:
-            if smask & ~self._reach_within(1 << i, allowed):
+            if smask & ~_reach(self.adj, 1 << i, allowed, self.bound):
                 return None
         b = cand & -cand
         j = b.bit_length() - 1
@@ -247,16 +213,10 @@ class _Search:
                 row.append(local[b.bit_length() - 1])
                 m ^= b
             nbrs.append(row)
-        dist = _all_pairs(nbrs)
-        worst = 0
-        for row in dist:
-            for d in row:
-                if d < 0:
-                    return None  # induced graph disconnected: no edge subset can help
-                if d > worst:
-                    worst = d
-        if worst > self.bound:
-            return None  # removing edges only grows distances
+        if not _within(nbrs, self.bound):
+            # Removing edges only disconnects or stretches distances, so
+            # no edge subset of this induced graph can help.
+            return None
         if max(len(r) for r in nbrs) <= self.delta:
             edges = _edge_list(nbrs)
         elif self.mode == "induced":
@@ -304,16 +264,7 @@ class _Search:
                 for a, b in trimmed:
                     rows[a].append(b)
                     rows[b].append(a)
-                dist = _all_pairs(rows)
-                ok = True
-                for row in dist:
-                    for d in row:
-                        if d < 0 or d > self.bound:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                if not _within(rows, self.bound):
                     continue
                 found = attempt(trimmed)
                 if found is not None:
@@ -330,21 +281,13 @@ def _edge_list(nbrs):
     return sorted((a, b) for a, row in enumerate(nbrs) for b in row if a < b)
 
 
-def _all_pairs(nbrs):
-    n = len(nbrs)
-    out = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            du = dist[u] + 1
-            for w in nbrs[u]:
-                if dist[w] < 0:
-                    dist[w] = du
-                    queue.append(w)
-        out.append(dist)
-    return out
+def _within(nbrs, bound) -> bool:
+    """True when the graph is connected and every hop count is at most bound."""
+    for s in range(len(nbrs)):
+        dist = _int_bfs(nbrs, s)
+        if min(dist) < 0 or max(dist) > bound:
+            return False
+    return True
 
 
 def solve_exact(req: SolveRequest) -> SolveResult:
@@ -381,23 +324,20 @@ def solve_exact(req: SolveRequest) -> SolveResult:
             f"{req.region_cap}; raise region_cap to search this instance"
         )
 
-    pts = sorted(pt for pt in _ball_points(req.k, bound) if _canonical(pt))
+    ball = formulas.ball_enumerate(formulas.BallSpec(LatticeParity.EVEN, req.k, bound))
+    pts = sorted(pt for pt in ball if _canonical(pt))
     n_r = len(pts)
     pos = {pt: i for i, pt in enumerate(pts)}
     adj = [0] * n_r
     for i, pt in enumerate(pts):
         for axis in range(req.k):
-            for step in (-1, 1):
+            for step in (-2, 2):
                 q = pt[:axis] + (pt[axis] + step,) + pt[axis + 1:]
                 j = pos.get(q)
                 if j is not None:
                     adj[i] |= 1 << j
-    dist = [_mask_bfs(adj, s, n_r) for s in range(n_r)]
-    compat = [0] * n_r
-    for i in range(n_r):
-        for j in range(n_r):
-            if i != j and 0 <= dist[i][j] <= bound:
-                compat[i] |= 1 << j
+    every = (1 << n_r) - 1
+    compat = [_reach(adj, 1 << i, every, bound) & ~(1 << i) for i in range(n_r)]
 
     budget = _Budget(req.max_nodes, req.max_seconds)
     search = _Search(adj, compat, delta, bound, req.mode, budget)
@@ -443,17 +383,10 @@ def solve_exact(req: SolveRequest) -> SolveResult:
 
 
 def _finish(req, verts, edges, optimum, optimal, explored, t0, notes):
-    doubled = {v: tuple(2 * c for c in v) for v in verts}
-    witness = MeshGraph(
-        LatticeParity.EVEN,
-        req.k,
-        list(doubled.values()),
-        [(doubled[a], doubled[b]) for a, b in edges],
-    )
     return SolveResult(
         request=req,
         optimum=optimum,
-        witness=witness,
+        witness=MeshGraph(LatticeParity.EVEN, req.k, verts, edges),
         optimal=optimal,
         explored=explored,
         elapsed=time.monotonic() - t0,

@@ -27,6 +27,7 @@ from .lattice_core import (
     CenteredGraph,
     LatticeParity,
     MeshGraph,
+    _int_at_least,
     _int_bfs,
     _l1,
     diameter,
@@ -354,11 +355,11 @@ def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> Compari
             neighbours) or p < 0.  Builder refusals do not raise; they
             are folded into the row's status.
     """
-    if not isinstance(delta, int) or delta < 1:
+    if not _int_at_least(delta, 1):
         raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
     if delta > 2 * k:
         raise ValueError(f"delta = {delta} exceeds the mesh degree bound 2k = {2 * k}")
-    if not isinstance(p, int) or p < 0:
+    if not _int_at_least(p, 0):
         raise ValueError(f"radius parameter p must be an integer >= 0, got {p!r}")
     lower = formulas.count_points(parity, delta // 2, p)
     upper = formulas.count_points(parity, k, p)

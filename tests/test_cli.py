@@ -1,9 +1,13 @@
 """Command-line interface behavior via click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
+import meshddbs
 from meshddbs.cli import main
 
 
@@ -68,6 +72,23 @@ def test_verify_fails_on_broken_graph(tmp_path):
     r = run("verify", "--in", str(out))
     assert r.exit_code == 1
     assert "FAIL" in r.output
+
+
+def test_verify_malformed_file_exits_one_without_traceback(tmp_path):
+    out = tmp_path / "g.json"
+    run("build", "--family", "e", "--k", "2", "--p", "3", "--out", str(out))
+    obj = json.loads(out.read_text())
+    obj["edges"] = [["a", "b"]]
+    out.write_text(json.dumps(obj))
+    # a real process, because click's test runner swallows tracebacks
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(meshddbs.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-m", "meshddbs.cli", "verify", "--in", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert r.returncode == 1
+    assert "Traceback" not in r.stdout + r.stderr
+    assert "out of range" in r.stderr
 
 
 def test_verify_missing_file():

@@ -1,5 +1,7 @@
 """Builder output sizes, shapes, and preconditions."""
 
+import hashlib
+
 import pytest
 
 from meshddbs import (
@@ -15,6 +17,7 @@ from meshddbs import (
     diameter,
     eccentricity,
     find_free_pair,
+    graph_to_json,
     max_degree,
 )
 from meshddbs.constructions import BuildParams
@@ -191,3 +194,23 @@ def test_build_family_dispatch():
         build_family("zzz", 2, p=3)
     with pytest.raises(ValueError):
         build_family("e", 2)  # radius required
+
+
+# sha256 over graph_to_json(...) + "\n" for every (k, p) of STACKED_GRID,
+# in order: pins the stacked families' canonical JSON byte for byte.
+STACKED_GRID = ((1, range(5)), (2, range(25)), (3, range(13)), (4, range(9)))
+STACKED_DIGESTS = {
+    "e": "f0876898f5c6392aea65af1694b5de27ebbf1bf74592721cc65c6c42e3d6d04b",
+    "eprime": "075aea5572069bfc432bafb6593091a5dc414d063830585533acd632906bcc19",
+    "o": "801186181b74109568d124c1e5f4ae7d30e1c02dab6af9aeb71f4cd449d3eb86",
+    "oprime": "8a36d14036b8b4670e086fa7557e37b84bb60c3bf4e0bb0bb044189289a9976c",
+}
+
+
+@pytest.mark.parametrize("family", sorted(STACKED_DIGESTS))
+def test_stacked_builders_byte_exact(family):
+    h = hashlib.sha256()
+    for k, ps in STACKED_GRID:
+        for p in ps:
+            h.update((graph_to_json(build_family(family, k, p)) + "\n").encode())
+    assert h.hexdigest() == STACKED_DIGESTS[family]

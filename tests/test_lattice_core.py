@@ -1,16 +1,20 @@
 """Graph container, metric, and serialization behavior."""
 
+import json
 import math
 
 import pytest
 
 from meshddbs import (
     INFINITE,
+    BallSpec,
     CenteredGraph,
     LatticeParity,
     MeshGraph,
+    SolveRequest,
     bfs_distances,
     build_family,
+    compare_bounds,
     diameter,
     eccentricity,
     graph_from_json,
@@ -23,6 +27,7 @@ from meshddbs import (
     validate_point,
 )
 from meshddbs.lattice_core import true_coordinate
+from meshddbs.solver import request_from_json
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -192,3 +197,37 @@ def test_dot_marks_centers():
     assert dot.startswith("graph mesh {")
     assert dot.count("peripheries=2") == 2
     assert '"(1/2,0)"' in dot
+
+
+def _graph_json(**fields):
+    obj = json.loads(graph_to_json(build_family("e", 2, p=3)))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+MALFORMED = {
+    "graph-vertices-int": lambda: graph_from_json(_graph_json(vertices=5)),
+    "graph-vertices-flat": lambda: graph_from_json(_graph_json(vertices=[1, 2])),
+    "graph-edges-int": lambda: graph_from_json(_graph_json(edges=3)),
+    "graph-edges-flat": lambda: graph_from_json(_graph_json(edges=[5])),
+    "graph-edges-str": lambda: graph_from_json(_graph_json(edges=[["a", "b"]])),
+    "graph-edges-float": lambda: graph_from_json(_graph_json(edges=[[0.0, 1]])),
+    "graph-centers-str": lambda: graph_from_json(_graph_json(centers=["x"])),
+    "graph-centers-int": lambda: graph_from_json(_graph_json(centers=3)),
+    "graph-p-bool": lambda: graph_from_json(_graph_json(p=True)),
+    "request-max_seconds-str": lambda: request_from_json(
+        '{"k":2,"delta":3,"diameter":4,"max_seconds":"5"}'
+    ),
+    "request-max_nodes-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, max_nodes=True),
+    "request-region_cap-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, region_cap=True),
+    "request-max_seconds-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, max_seconds=True),
+    "meshgraph-k-bool": lambda: MeshGraph(EVEN, True, [], []),
+    "ballspec-k-bool": lambda: BallSpec(EVEN, True, 3),
+    "compare_bounds-delta-bool": lambda: compare_bounds(EVEN, 2, True, 3),
+}
+
+
+@pytest.mark.parametrize("call", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()

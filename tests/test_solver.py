@@ -95,6 +95,13 @@ def test_budget_exhaustion_reports_incomplete():
     assert verify_witness(res, req)  # witness stays consistent
 
 
+def test_node_budget_counts_exactly():
+    req = SolveRequest(k=2, delta=3, diameter=7, max_nodes=50, region_cap=113)
+    res = solve_exact(req)
+    assert not res.optimal
+    assert res.explored == 50
+
+
 def test_induced_mode_exact_when_cap_is_mesh_degree():
     res = solve_exact(SolveRequest(k=2, delta=4, diameter=2, mode="induced"))
     assert (res.optimum, res.optimal) == (5, True)
