@@ -12,7 +12,13 @@ import click
 
 from . import formulas, solver, verification
 from .constructions import build_family
-from .lattice_core import LatticeParity, graph_from_json, graph_to_dot, graph_to_json
+from .lattice_core import (
+    FAMILY_CODES,
+    LatticeParity,
+    graph_from_json,
+    graph_to_dot,
+    graph_to_json,
+)
 
 
 class _RangeType(click.ParamType):
@@ -63,7 +69,7 @@ def main():
 
 @main.command()
 @click.option("--family", required=True,
-              type=click.Choice(["e", "eprime", "o", "oprime", "g3", "edge", "cycle"]))
+              type=click.Choice(FAMILY_CODES))
 @click.option("--k", required=True, type=int)
 @click.option("--p", type=int, default=None,
               help="Radius parameter; omit for the edge family.")

@@ -44,6 +44,7 @@ from .lattice_core import (
     LatticeParity,
     MeshGraph,
     Point,
+    _centers,
     _int_at_least,
 )
 
@@ -78,13 +79,6 @@ class FreePair(NamedTuple):
 # ============================================================
 # Shared stacking recipe
 # ============================================================
-
-def _centers(odd: bool, k: int) -> tuple:
-    """The origin on the even lattice, (+-1, 0, ..., 0) on the odd one."""
-    if odd:
-        return ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
-    return ((0,) * k,)
-
 
 def _lift(sub, level2: int):
     """Copy raw (k-1)-dimensional (vertices, edges) into dimension k at doubled level."""

@@ -29,7 +29,7 @@ INFINITE = math.inf
 
 COORD_SCALE = 2
 
-FAMILY_CODES = ("e", "eprime", "o", "oprime", "g3", "edge", "cycle", "path")
+FAMILY_CODES = ("e", "eprime", "o", "oprime", "g3", "edge", "cycle")
 
 #: Families whose graphs live on the odd lattice and carry two centers.
 ODD_FAMILIES = ("o", "oprime")
@@ -127,9 +127,7 @@ class MeshGraph:
             raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
         if not _int_at_least(k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
-        vts = sorted({tuple(v) for v in vertices})
-        for v in vts:
-            validate_point(v, k, parity)
+        vts = sorted({validate_point(v, k, parity) for v in vertices})
         vset = frozenset(vts)
         canon = set()
         for e in edges:
@@ -297,12 +295,16 @@ def diameter(g: MeshGraph):
     return best
 
 
-def _expected_centers(family: str, parity: LatticeParity, k: int) -> tuple:
-    if family in ODD_FAMILIES or (family in ("cycle", "path") and parity is LatticeParity.ODD):
-        minus = (-1,) + (0,) * (k - 1)
-        plus = (1,) + (0,) * (k - 1)
-        return (minus, plus)
+def _centers(odd: bool, k: int) -> tuple:
+    """The origin on the even lattice, (+-1, 0, ..., 0) on the odd one."""
+    if odd:
+        return ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
     return ((0,) * k,)
+
+
+def _expected_centers(family: str, parity: LatticeParity, k: int) -> tuple:
+    odd = family in ODD_FAMILIES or (family == "cycle" and parity is LatticeParity.ODD)
+    return _centers(odd, k)
 
 
 @dataclass(frozen=True)
@@ -407,6 +409,14 @@ def mesh_from_obj(obj: dict):
     return g, tuple(centers), obj["family"], p
 
 
+def _json_loads(text: str):
+    """Parse JSON text; a syntax error becomes a ValueError naming it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 def graph_to_json(cg: CenteredGraph) -> str:
     """Canonical single-line JSON text for a built family member.
 
@@ -424,11 +434,7 @@ def graph_from_json(text: str) -> CenteredGraph:
         ValueError: malformed JSON, unknown family, or centers that do
             not match the family convention.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    g, centers, family, p = mesh_from_obj(obj)
+    g, centers, family, p = mesh_from_obj(_json_loads(text))
     return CenteredGraph(g, centers, p, family)
 
 

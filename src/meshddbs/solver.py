@@ -33,7 +33,7 @@ from .lattice_core import (
     LatticeParity,
     MeshGraph,
     _int_at_least,
-    _int_bfs,
+    _json_loads,
     diameter,
     max_degree,
     mesh_from_obj,
@@ -44,6 +44,11 @@ MODES = ("exact", "induced")
 
 #: Default limit on the full candidate ball; about a k=2, D=4 instance.
 DEFAULT_REGION_CAP = 45
+
+
+def _is_number(x) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,7 @@ class SolveRequest:
         if self.max_nodes is not None and not _int_at_least(self.max_nodes, 1):
             raise ValueError(f"max_nodes must be a positive integer or None, got {self.max_nodes!r}")
         secs = self.max_seconds
-        if secs is not None and (
-            isinstance(secs, bool) or not isinstance(secs, (int, float)) or not secs > 0
-        ):
+        if secs is not None and not (_is_number(secs) and secs > 0):
             raise ValueError(f"max_seconds must be positive or None, got {secs!r}")
         if not _int_at_least(self.region_cap, 1):
             raise ValueError(f"region_cap must be a positive integer, got {self.region_cap!r}")
@@ -189,10 +192,8 @@ class _Search:
         # Every chosen vertex must still reach every other within the
         # bound using only chosen-or-candidate vertices; subsets only
         # lose paths, so failure here dooms the whole subtree.
-        allowed = smask | cand
-        for i in chosen:
-            if smask & ~_reach(self.adj, 1 << i, allowed, self.bound):
-                return None
+        if not self._reaches_all(self.adj, chosen, smask | cand, smask):
+            return None
         b = cand & -cand
         j = b.bit_length() - 1
         rest = cand ^ b
@@ -202,92 +203,70 @@ class _Search:
         return self._rec(chosen, smask, rest)
 
     def _leaf(self, chosen, smask):
-        n = len(chosen)
-        local = {v: i for i, v in enumerate(chosen)}
-        nbrs = []
+        rows = [0] * len(self.adj)
         for v in chosen:
-            m = self.adj[v] & smask
-            row = []
-            while m:
-                b = m & -m
-                row.append(local[b.bit_length() - 1])
-                m ^= b
-            nbrs.append(row)
-        if not _within(nbrs, self.bound):
+            rows[v] = self.adj[v] & smask
+        if not self._reaches_all(rows, chosen, smask, smask):
             # Removing edges only disconnects or stretches distances, so
             # no edge subset of this induced graph can help.
             return None
-        if max(len(r) for r in nbrs) <= self.delta:
-            edges = _edge_list(nbrs)
-        elif self.mode == "induced":
-            return None
-        else:
-            edges = self._shed_degrees(nbrs)
-            if edges is None:
+        if max(rows[v].bit_count() for v in chosen) > self.delta:
+            if self.mode == "induced":
                 return None
-        return chosen, [(chosen[a], chosen[b]) for a, b in edges]
+            rows = self._shed_degrees(rows, chosen, smask)
+            if rows is None:
+                return None
+        edges = []
+        for v in chosen:
+            m = rows[v] & -(2 << v)  # neighbours above v
+            while m:
+                b = m & -m
+                edges.append((v, b.bit_length() - 1))
+                m ^= b
+        return chosen, edges
 
+    def _reaches_all(self, rows, chosen, allowed, smask):
+        """True when every chosen vertex reaches all of ``smask`` in bound hops via ``allowed``."""
+        for v in chosen:
+            if smask & ~_reach(rows, 1 << v, allowed, self.bound):
+                return False
+        return True
 
-    def _shed_degrees(self, nbrs):
+    def _shed_degrees(self, rows, chosen, smask):
         """Search edge subsets until every degree fits, distances allowing.
 
-        Branches on the edges of the smallest over-degree vertex: any
-        feasible edge subset must drop at least one of them.  States
-        that disconnect the graph or stretch its diameter past the bound
-        are cut, since further removal cannot undo either.
+        Branches on the edges of the smallest over-degree vertex, its
+        neighbours in increasing order: any feasible edge subset must
+        drop at least one of them.  States that disconnect the graph or
+        stretch its diameter past the bound are cut, since further
+        removal cannot undo either.
         """
-        n = len(nbrs)
-        all_edges = tuple(_edge_list(nbrs))
         seen = set()
 
-        def attempt(present):
-            if present in seen:
+        def attempt(rows):
+            key = tuple(rows)
+            if key in seen:
                 return None
-            seen.add(present)
+            seen.add(key)
             self.budget.spend()
-            deg = [0] * n
-            for a, b in present:
-                deg[a] += 1
-                deg[b] += 1
-            bad = -1
-            for v in range(n):
-                if deg[v] > self.delta:
-                    bad = v
-                    break
-            if bad < 0:
-                return present
-            for e in all_edges:
-                if bad not in e or e not in present:
-                    continue
-                trimmed = present - {e}
-                rows = [[] for _ in range(n)]
-                for a, b in trimmed:
-                    rows[a].append(b)
-                    rows[b].append(a)
-                if not _within(rows, self.bound):
-                    continue
-                found = attempt(trimmed)
-                if found is not None:
-                    return found
+            bad = next((v for v in chosen if rows[v].bit_count() > self.delta), None)
+            if bad is None:
+                return rows
+            m = rows[bad]
+            while m:
+                b = m & -m
+                m ^= b
+                u = b.bit_length() - 1
+                trimmed = rows.copy()
+                trimmed[bad] ^= b
+                trimmed[u] ^= 1 << bad
+                if self._reaches_all(trimmed, chosen, smask, smask):
+                    found = attempt(trimmed)
+                    if found is not None:
+                        return found
             return None
 
-        found = attempt(frozenset(all_edges))
-        if found is None:
-            return None
-        return sorted(found)
-
-
-def _edge_list(nbrs):
-    return sorted((a, b) for a, row in enumerate(nbrs) for b in row if a < b)
-
-
-def _within(nbrs, bound) -> bool:
-    """True when the graph is connected and every hop count is at most bound."""
-    for s in range(len(nbrs)):
-        dist = _int_bfs(nbrs, s)
-        if min(dist) < 0 or max(dist) > bound:
-            return False
-    return True
+        return attempt(rows)
 
 
 def solve_exact(req: SolveRequest) -> SolveResult:
@@ -307,15 +286,13 @@ def solve_exact(req: SolveRequest) -> SolveResult:
     delta = req.delta
     mesh_degree = 2 * req.k
     if delta > mesh_degree:
-        notes.append(
-            f"degree bound {delta} clamped to the mesh degree {mesh_degree}"
-        )
+        notes.append(f"degree bound {delta} clamped to the mesh degree {mesh_degree}")
         delta = mesh_degree
     bound = req.diameter
 
     if bound == 0:
         notes.append("diameter 0 admits single vertices only")
-        return _finish(req, [(0,) * req.k], [], 1, True, 0, t0, notes)
+        return _finish(req, [(0,) * req.k], [], True, 0, t0, notes)
 
     full = formulas.count_points(LatticeParity.EVEN, req.k, bound)
     if full > req.region_cap:
@@ -353,17 +330,14 @@ def solve_exact(req: SolveRequest) -> SolveResult:
     except _BudgetExceeded as exc:
         notes.append(f"{exc}; search incomplete, reporting the trivial witness")
         exhausted = False
-        found = None
 
     if found is None:
         verts = [(0,) * req.k]
         edges = []
-        optimum = 1
     else:
         chosen, edge_pairs = found
         verts = [pts[i] for i in chosen]
         edges = [(pts[a], pts[b]) for a, b in edge_pairs]
-        optimum = len(verts)
 
     if req.mode == "induced":
         if delta == mesh_degree:
@@ -379,13 +353,13 @@ def solve_exact(req: SolveRequest) -> SolveResult:
     else:
         optimal = exhausted
 
-    return _finish(req, verts, edges, optimum, optimal, budget.nodes, t0, notes)
+    return _finish(req, verts, edges, optimal, budget.nodes, t0, notes)
 
 
-def _finish(req, verts, edges, optimum, optimal, explored, t0, notes):
+def _finish(req, verts, edges, optimal, explored, t0, notes):
     return SolveResult(
         request=req,
-        optimum=optimum,
+        optimum=len(verts),
         witness=MeshGraph(LatticeParity.EVEN, req.k, verts, edges),
         optimal=optimal,
         explored=explored,
@@ -459,6 +433,17 @@ def result_to_obj(res: SolveResult) -> dict:
     }
 
 
+#: Scalar fields of a result object: key, acceptance test, description.
+_RESULT_FIELDS = (
+    ("optimum", lambda x: _int_at_least(x, 1), "an integer >= 1"),
+    ("optimal", lambda x: isinstance(x, bool), "a bool"),
+    ("explored", lambda x: _int_at_least(x, 0), "an integer >= 0"),
+    ("elapsed", lambda x: _is_number(x) and x >= 0, "a number >= 0"),
+    ("notes", lambda x: isinstance(x, list) and all(isinstance(n, str) for n in x),
+     "a list of strings"),
+)
+
+
 def result_from_obj(obj: dict) -> SolveResult:
     if not isinstance(obj, dict):
         raise ValueError("solve result must be a JSON object")
@@ -466,6 +451,9 @@ def result_from_obj(obj: dict) -> SolveResult:
     for key in required:
         if key not in obj:
             raise ValueError(f"solve result is missing key {key!r}")
+    for key, ok, what in _RESULT_FIELDS:
+        if not ok(obj[key]):
+            raise ValueError(f"field {key} must be {what}, got {obj[key]!r}")
     witness, _, family, _ = mesh_from_obj(obj["witness"])
     if family != "witness":
         raise ValueError(f"embedded graph has family {family!r}, expected 'witness'")
@@ -485,11 +473,7 @@ def request_to_json(req: SolveRequest) -> str:
 
 
 def request_from_json(text: str) -> SolveRequest:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return request_from_obj(obj)
+    return request_from_obj(_json_loads(text))
 
 
 def result_to_json(res: SolveResult) -> str:
@@ -497,8 +481,4 @@ def result_to_json(res: SolveResult) -> str:
 
 
 def result_from_json(text: str) -> SolveResult:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return result_from_obj(obj)
+    return result_from_obj(_json_loads(text))

@@ -24,6 +24,7 @@ from .constructions import (
 )
 from .lattice_core import (
     INFINITE,
+    ODD_FAMILIES,
     CenteredGraph,
     LatticeParity,
     MeshGraph,
@@ -66,8 +67,9 @@ class ConditionReport:
         return all(c.passed for c in self.checks)
 
 
-def _distances_from(g: MeshGraph, v) -> list:
-    return _int_bfs(g.int_adjacency(), g.vertices.index(tuple(v)))
+def _verdict(name: str, ok: bool, witness: str) -> ConditionCheck:
+    """A check that carries ``witness`` only when it fails."""
+    return ConditionCheck(name, ok, "" if ok else witness)
 
 
 def _mesh_edge_check(g: MeshGraph) -> ConditionCheck:
@@ -78,38 +80,53 @@ def _mesh_edge_check(g: MeshGraph) -> ConditionCheck:
     return ConditionCheck("mesh-edges", True)
 
 
-def _degree_cap_check(g: MeshGraph, cap: int, name: str = "degree-bound") -> ConditionCheck:
+def _degree_check(g: MeshGraph, cap_of, exact: bool = False) -> ConditionCheck:
+    """Every degree at most ``cap_of(v)``, or equal to it when ``exact``.
+
+    ``cap_of`` returns None for vertices the condition exempts.
+    """
     for v in g.vertices:
-        if len(g._adj[v]) > cap:
-            return ConditionCheck(name, False, f"degree {len(g._adj[v])} at {v!r}")
-    return ConditionCheck(name, True)
+        cap = cap_of(v)
+        if cap is None:
+            continue
+        d = len(g._adj[v])
+        if d > cap or (exact and d != cap):
+            return ConditionCheck(
+                "degree-bound", False,
+                f"degree {d} at {v!r} ({'expected' if exact else 'cap'} {cap})")
+    return ConditionCheck("degree-bound", True)
+
+
+#: Degree cap per stacked family, given the built graph (``o`` exempts
+#: its two centers).
+_STACKED_CAPS = {
+    "e": lambda cg: lambda v: 4 if 0 in v else 2,
+    "eprime": lambda cg: lambda v: 4,
+    "o": lambda cg: lambda v: None if v in cg.centers else (4 if v[0] in (1, -1) else 2),
+    "oprime": lambda cg: lambda v: 4,
+}
 
 
 def check_conditions(cg: CenteredGraph) -> ConditionReport:
     """Evaluate the defining conditions of a family on a built graph.
 
-    The conditions per family code:
+    The stacked families ``e``, ``eprime``, ``o`` and ``oprime`` share
+    one list: a degree cap; center degree exactly 2 (at most 2 for the
+    one-dimensional and degenerate builds); connected; center reach.
+    The caps are 4 for ``eprime`` and ``oprime``; for ``e``, 4 on
+    vertices with a zero coordinate and 2 elsewhere; for ``o``, 4 on
+    non-center vertices whose first coordinate sits on the two central
+    planes and 2 on other non-center vertices.  Even reach (``e``,
+    ``eprime``): every vertex within p hops of the center.  Odd reach
+    (``o``, ``oprime``): every non-center vertex within p hops of one
+    center and within p+1 hops of the other, plus the centers within
+    2p+1 hops of each other.  The other families:
 
-    * ``e``       degree at most 4 on vertices with a zero coordinate
-      and at most 2 elsewhere; center degree exactly 2 (0 for the
-      single-vertex build at p = 0); connected; every vertex within p
-      hops of the center.
-    * ``eprime``  degree at most 4; center degree as in ``e``;
-      connected; every vertex within p hops of the center.
-    * ``o``       degree of a non-center vertex at most 4 when its
-      first coordinate sits on the two central planes and at most 2
-      otherwise; both centers at degree exactly 2 (at most 2 for the
-      one-dimensional and degenerate builds); connected; every
-      non-center vertex within p hops of one center and within p+1
-      hops of the other; the centers within 2p+1 hops of each other.
-    * ``oprime``  as ``o`` but with a flat degree cap of 4.
     * ``g3``      diameter at most 2p; degree at most 3; a free pair of
       adjacent low-degree vertices remains for further stacking.
     * ``edge``    exactly two vertices and one edge; diameter 1.
-    * ``cycle``   every degree exactly 2; connected; 4p or 4p+2
+    * ``cycle``   connected with every degree exactly 2; 4p or 4p+2
       vertices by lattice parity; diameter exactly 2p or 2p+1.
-    * ``path``    degree at most 2; connected; diameter equal to the
-      vertex count minus one.
 
     Raises:
         ValueError: unknown family code (guarded by CenteredGraph, but
@@ -121,87 +138,55 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     checks = [_mesh_edge_check(g)]
     n = len(g.vertices)
 
-    center_dists = [_distances_from(g, c) for c in cg.centers]
+    center_dists = [_int_bfs(g.int_adjacency(), g.vertices.index(c)) for c in cg.centers]
     connected = all(min(d) >= 0 for d in center_dists) if n > 1 else True
     eccs = tuple(max(d) if min(d) >= 0 else INFINITE for d in center_dists)
 
-    need_diameter = family in ("g3", "cycle", "edge", "path")
     diam = None
-    if need_diameter or n <= DIAMETER_SCAN_LIMIT or (connected and len(g.edges) == n - 1):
+    if family in ("g3", "edge", "cycle") or n <= DIAMETER_SCAN_LIMIT or (
+            connected and len(g.edges) == n - 1):
         diam = diameter(g)
 
-    if family == "e":
-        ok = True
-        witness = ""
-        for v in g.vertices:
-            d = len(g._adj[v])
-            cap = 4 if any(c == 0 for c in v) else 2
-            if d > cap:
-                ok = False
-                witness = f"degree {d} at {v!r} (cap {cap})"
-                break
-        checks.append(ConditionCheck("degree-bound", ok, witness))
-        checks.append(_center_degree_check(cg, exact=p >= 1))
-        checks.append(ConditionCheck("connected", connected, "" if connected else "graph splits"))
-        checks.append(_center_reach_even(cg, center_dists, p))
-    elif family == "eprime":
-        checks.append(_degree_cap_check(g, 4))
-        checks.append(_center_degree_check(cg, exact=p >= 1))
-        checks.append(ConditionCheck("connected", connected, "" if connected else "graph splits"))
-        checks.append(_center_reach_even(cg, center_dists, p))
-    elif family in ("o", "oprime"):
-        if family == "o":
-            ok = True
-            witness = ""
-            centers = set(cg.centers)
-            for v in g.vertices:
-                if v in centers:
-                    continue
-                cap = 4 if v[0] in (1, -1) else 2
-                d = len(g._adj[v])
-                if d > cap:
-                    ok = False
-                    witness = f"degree {d} at {v!r} (cap {cap})"
-                    break
-            checks.append(ConditionCheck("degree-bound", ok, witness))
+    if family in _STACKED_CAPS:
+        checks += [
+            _degree_check(g, _STACKED_CAPS[family](cg)),
+            _center_degree_check(cg, exact=p >= 1),
+            _verdict("connected", connected, "graph splits"),
+        ]
+        if family in ODD_FAMILIES:
+            checks += [
+                _center_reach_odd(cg, center_dists, p),
+                _center_separation_check(cg, center_dists, p),
+            ]
         else:
-            checks.append(_degree_cap_check(g, 4))
-        checks.append(_center_degree_check(cg, exact=p >= 1))
-        checks.append(ConditionCheck("connected", connected, "" if connected else "graph splits"))
-        checks.append(_center_reach_odd(cg, center_dists, p))
-        checks.append(_center_separation_check(cg, center_dists, p))
+            checks.append(_center_reach_even(cg, center_dists, p))
     elif family == "g3":
-        ok = diam is not INFINITE and diam <= 2 * p
-        checks.append(ConditionCheck(
-            "diameter", ok, "" if ok else f"diameter {diam} exceeds {2 * p}"))
-        checks.append(_degree_cap_check(g, 3))
+        checks += [
+            _verdict("diameter", diam is not INFINITE and diam <= 2 * p,
+                     f"diameter {diam} exceeds {2 * p}"),
+            _degree_check(g, lambda v: 3),
+        ]
         try:
             find_free_pair(g)
             checks.append(ConditionCheck("free-pair", True))
         except ValueError as exc:
             checks.append(ConditionCheck("free-pair", False, str(exc)))
     elif family == "edge":
-        shape_ok = n == 2 and len(g.edges) == 1
-        checks.append(ConditionCheck(
-            "shape", shape_ok, "" if shape_ok else f"{n} vertices, {len(g.edges)} edges"))
-        checks.append(ConditionCheck(
-            "diameter", diam == 1, "" if diam == 1 else f"diameter {diam}"))
+        checks += [
+            _verdict("shape", n == 2 and len(g.edges) == 1,
+                     f"{n} vertices, {len(g.edges)} edges"),
+            _verdict("diameter", diam == 1, f"diameter {diam}"),
+        ]
     elif family == "cycle":
-        checks.append(_cycle_checks(g, p, diam, connected))
-        expected_n = 4 * p if g.parity is LatticeParity.EVEN else 4 * p + 2
-        checks.append(ConditionCheck(
-            "length", n == expected_n,
-            "" if n == expected_n else f"{n} vertices, expected {expected_n}"))
-        expected_d = 2 * p if g.parity is LatticeParity.EVEN else 2 * p + 1
-        checks.append(ConditionCheck(
-            "diameter", diam == expected_d,
-            "" if diam == expected_d else f"diameter {diam}, expected {expected_d}"))
-    elif family == "path":
-        checks.append(_degree_cap_check(g, 2))
-        checks.append(ConditionCheck("connected", connected, "" if connected else "graph splits"))
-        ok = diam == n - 1
-        checks.append(ConditionCheck(
-            "diameter", ok, "" if ok else f"diameter {diam}, expected {n - 1}"))
+        odd = g.parity is LatticeParity.ODD
+        checks += [
+            _degree_check(g, lambda v: 2, exact=True) if connected
+            else ConditionCheck("degree-bound", False, "graph splits"),
+            _verdict("length", n == 4 * p + 2 * odd,
+                     f"{n} vertices, expected {4 * p + 2 * odd}"),
+            _verdict("diameter", diam == 2 * p + odd,
+                     f"diameter {diam}, expected {2 * p + odd}"),
+        ]
     else:
         raise ValueError(f"unknown family code {family!r}")
 
@@ -241,10 +226,8 @@ def _center_separation_check(cg, center_dists, p):
     # so they are exempt from the reach condition; the diameter target
     # 2p+1 only needs them within 2p+1 hops of each other.
     sep = center_dists[0][cg.graph.vertices.index(cg.centers[1])]
-    ok = 0 <= sep <= 2 * p + 1
-    return ConditionCheck(
-        "center-separation", ok,
-        "" if ok else f"centers {'inf' if sep < 0 else sep} apart, limit {2 * p + 1}")
+    return _verdict("center-separation", 0 <= sep <= 2 * p + 1,
+                    f"centers {'inf' if sep < 0 else sep} apart, limit {2 * p + 1}")
 
 
 def _center_reach_odd(cg, center_dists, p):
@@ -264,16 +247,6 @@ def _center_reach_odd(cg, center_dists, p):
                 "center-reach", False,
                 f"{verts[i]!r} at distances {a} and {b} from the centers")
     return ConditionCheck("center-reach", True)
-
-
-def _cycle_checks(g, p, diam, connected):
-    if not connected:
-        return ConditionCheck("degree-bound", False, "graph splits")
-    for v in g.vertices:
-        if len(g._adj[v]) != 2:
-            return ConditionCheck(
-                "degree-bound", False, f"degree {len(g._adj[v])} at {v!r}")
-    return ConditionCheck("degree-bound", True)
 
 
 def report_lines(report: ConditionReport) -> list:
@@ -416,17 +389,23 @@ def sweep_table(parity: LatticeParity, k_values, delta: int, p_values) -> list:
     ps = list(p_values)
     if not ks or not ps:
         raise ValueError("empty sweep range")
-    rows = []
-    for k in ks:
-        for p in ps:
-            rows.append(compare_bounds(parity, k, delta, p))
-    return rows
+    return [compare_bounds(parity, k, delta, p) for k in ks for p in ps]
 
 
 def _fmt_exact(value) -> str:
     if value is None:
         return ""
     return repr(float(value))
+
+
+def _row_cells(r: ComparisonRow) -> list:
+    return [
+        r.parity.value, str(r.k), str(r.delta), str(r.p),
+        "" if r.construction is None else str(r.construction),
+        str(r.ball_lower), str(r.ball_upper),
+        _fmt_exact(r.two_term_value), _fmt_exact(r.residual_norm),
+        r.status,
+    ]
 
 
 def rows_to_csv(rows) -> str:
@@ -437,35 +416,14 @@ def rows_to_csv(rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow([
-            r.parity.value, r.k, r.delta, r.p,
-            "" if r.construction is None else r.construction,
-            r.ball_lower, r.ball_upper,
-            _fmt_exact(r.two_term_value), _fmt_exact(r.residual_norm),
-            r.status,
-        ])
+    writer.writerows(_row_cells(r) for r in rows)
     return out.getvalue()
 
 
 def rows_to_pretty(rows) -> str:
     """Aligned text table for terminals."""
-    header = CSV_HEADER.split(",")
-    table = [header]
-    for r in rows:
-        table.append([
-            r.parity.value,
-            str(r.k),
-            str(r.delta),
-            str(r.p),
-            "" if r.construction is None else str(r.construction),
-            str(r.ball_lower),
-            str(r.ball_upper),
-            _fmt_exact(r.two_term_value),
-            _fmt_exact(r.residual_norm),
-            r.status,
-        ])
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+    table = [CSV_HEADER.split(",")] + [_row_cells(r) for r in rows]
+    widths = [max(len(cell) for cell in col) for col in zip(*table)]
     lines = []
     for row in table:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -27,7 +27,7 @@ from meshddbs import (
     validate_point,
 )
 from meshddbs.lattice_core import true_coordinate
-from meshddbs.solver import request_from_json
+from meshddbs.solver import request_from_json, result_from_json, result_to_json, solve_exact
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -205,7 +205,14 @@ def _graph_json(**fields):
     return json.dumps(obj)
 
 
+def _result_json(**fields):
+    obj = json.loads(result_to_json(solve_exact(SolveRequest(k=2, delta=2, diameter=2))))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
 MALFORMED = {
+    "graph-family-path": lambda: graph_from_json(_graph_json(family="path")),
     "graph-vertices-int": lambda: graph_from_json(_graph_json(vertices=5)),
     "graph-vertices-flat": lambda: graph_from_json(_graph_json(vertices=[1, 2])),
     "graph-edges-int": lambda: graph_from_json(_graph_json(edges=3)),
@@ -224,6 +231,12 @@ MALFORMED = {
     "meshgraph-k-bool": lambda: MeshGraph(EVEN, True, [], []),
     "ballspec-k-bool": lambda: BallSpec(EVEN, True, 3),
     "compare_bounds-delta-bool": lambda: compare_bounds(EVEN, 2, True, 3),
+    "result-optimum-str": lambda: result_from_json(_result_json(optimum="7")),
+    "result-optimum-bool": lambda: result_from_json(_result_json(optimum=True)),
+    "result-optimal-str": lambda: result_from_json(_result_json(optimal="yes")),
+    "result-explored-negative": lambda: result_from_json(_result_json(explored=-3)),
+    "result-elapsed-str": lambda: result_from_json(_result_json(elapsed="x")),
+    "result-notes-str": lambda: result_from_json(_result_json(notes="abc")),
 }
 
 

@@ -1,5 +1,7 @@
 """Property-based invariants over randomized inputs."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from meshddbs import (
     verify_witness,
 )
 from meshddbs.formulas import BallSpec, ball_enumerate
+from meshddbs.solver import request_from_json, request_to_json, result_from_json, result_to_json
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -95,3 +98,51 @@ def test_solver_monotone_in_degree(delta, diameter):
     lo = solve_exact(SolveRequest(k=2, delta=delta, diameter=diameter))
     hi = solve_exact(SolveRequest(k=2, delta=delta + 1, diameter=diameter))
     assert lo.optimum <= hi.optimum
+
+
+# Valid JSON texts and their parsers; the fuzz test below mutates them.
+SEED_JSON = [
+    (graph_to_json(build_family("e", 2, p=3)), graph_from_json),
+    (graph_to_json(build_family("o", 2, p=2)), graph_from_json),
+    (graph_to_json(build_family("cycle", 2, p=1, parity=ODD)), graph_from_json),
+    (request_to_json(SolveRequest(k=2, delta=3, diameter=4, max_nodes=9, max_seconds=1.5)),
+     request_from_json),
+    (result_to_json(solve_exact(SolveRequest(k=2, delta=2, diameter=2))), result_from_json),
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=5,
+)
+
+
+def _positions(obj, path=()):
+    """Every (container path, key) pair inside a nested JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path, key
+        yield from _positions(value, path + (key,))
+
+
+@given(st.sampled_from(SEED_JSON), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_json_parses_or_raises_value_error(seed, data):
+    text, parse = seed
+    obj = json.loads(text)
+    path, key = data.draw(st.sampled_from(list(_positions(obj))))
+    holder = obj
+    for step in path:
+        holder = holder[step]
+    action = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if action == "replace":
+        holder[key] = data.draw(json_values)
+    elif action == "delete":
+        del holder[key]
+    mutated = json.dumps(obj)
+    if action == "truncate":
+        mutated = text[:data.draw(st.integers(0, len(text) - 1))]
+    try:
+        parse(mutated)
+    except ValueError:
+        pass

@@ -3,6 +3,7 @@
 import pytest
 
 from meshddbs import SolveRequest, SolveResult, solve_exact, verify_witness
+from meshddbs.lattice_core import mesh_to_obj
 from meshddbs.solver import (
     DEFAULT_REGION_CAP,
     request_from_json,
@@ -138,3 +139,35 @@ def test_json_round_trips():
 def test_default_region_cap_value():
     assert DEFAULT_REGION_CAP == 45
     assert SolveRequest(k=2, delta=2, diameter=2).region_cap == 45
+
+
+# (request, optimum, optimal, explored, witness vertices, witness edges as
+# index pairs into the vertex list), recorded before the leaf check moved
+# to bitmask rows: the search order, node count and witness are pinned.
+PINNED = [
+    (SolveRequest(k=2, delta=3, diameter=4), 10, True, 1119,
+     [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [4, 0], [4, 4]],
+     [[0, 1], [1, 2], [1, 5], [3, 4], [4, 5], [4, 8], [5, 6], [6, 7], [6, 9]]),
+    (SolveRequest(k=2, delta=3, diameter=5, region_cap=61), 14, True, 10900,
+     [[0, 0], [0, 2], [0, 4], [0, 6], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [2, 8],
+      [4, 0], [4, 2], [4, 4], [4, 6]],
+     [[0, 1], [1, 2], [1, 6], [2, 3], [3, 8], [4, 5], [5, 6], [5, 10], [6, 7], [7, 8],
+      [7, 12], [8, 9], [10, 11], [11, 12], [12, 13]]),
+    (SolveRequest(k=3, delta=4, diameter=3, region_cap=63), 10, True, 1953,
+     [[0, 0, 0], [0, 0, 2], [2, -2, 0], [2, -2, 2], [2, 0, 0], [2, 0, 2], [2, 2, 0],
+      [2, 2, 2], [4, 0, 0], [4, 0, 2]],
+     [[0, 1], [0, 4], [1, 5], [2, 3], [2, 4], [3, 5], [4, 6], [4, 8], [5, 7], [5, 9],
+      [6, 7], [8, 9]]),
+    (SolveRequest(k=2, delta=3, diameter=4, mode="induced"), 9, False, 2089,
+     [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [4, 2], [4, 4], [6, 2]],
+     [[0, 1], [0, 4], [1, 2], [1, 5], [3, 4], [4, 5], [5, 6], [6, 7], [6, 8]]),
+]
+
+
+@pytest.mark.parametrize("req,optimum,optimal,explored,verts,edges", PINNED,
+                         ids=["k2d3D4", "k2d3D5", "k3d4D3", "k2d3D4-induced"])
+def test_pinned_search_results(req, optimum, optimal, explored, verts, edges):
+    res = solve_exact(req)
+    assert (res.optimum, res.optimal, res.explored) == (optimum, optimal, explored)
+    witness = mesh_to_obj(res.witness)
+    assert (witness["vertices"], witness["edges"]) == (verts, edges)

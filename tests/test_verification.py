@@ -1,5 +1,6 @@
 """Condition checking and bound-comparison tables."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,60 @@ def test_report_flags_excess_degree():
     rep = check_conditions(CenteredGraph(wider, full.centers, full.p, "e"))
     bad = {c.name for c in rep.checks if not c.passed}
     assert "center-degree" in bad
+
+
+def test_degree_witness_names_the_cap():
+    # give one g3 vertex all four mesh neighbours: degree 4 breaks cap 3
+    full = build_family("g3", 2, p=4)
+    g = full.graph
+    hub = g.vertices[0]
+    arms = [(hub[0] + dx, hub[1] + dy) for dx, dy in ((2, 0), (-2, 0), (0, 2), (0, -2))]
+    wider = MeshGraph(EVEN, 2, set(g.vertices) | set(arms),
+                      set(g.edges) | {(hub, a) for a in arms})
+    rep = check_conditions(CenteredGraph(wider, full.centers, full.p, "g3"))
+    [bound] = [c for c in rep.checks if c.name == "degree-bound"]
+    assert not bound.passed
+    assert bound.witness.endswith("(cap 3)")
+
+
+# sha256 over the report_lines of every build on REPORT_GRID that the
+# builder accepts, one line per entry, in order; digests taken before the
+# family conditions were folded into one shared list.
+REPORT_GRID = ((1, range(9)), (2, range(9)), (3, range(7)))
+REPORT_DIGESTS = {
+    ("e", None):
+        "4c8b51212e2a39c9adbee5fefdcff4f936b430e2699e984206e2ba299479019d",
+    ("eprime", None):
+        "5946eccd75e71b6b675244379b9243c20961474b426b8bae58406882319d958d",
+    ("o", None):
+        "7d216a805ee79a6482742132293009a66498391bc4614ce36cb48cd9915d7e48",
+    ("oprime", None):
+        "4e818475205810b3905c2d486606467703ae41e10f1270c9f003696c79b0b5b7",
+    ("g3", None):
+        "4c99dc4a9e3c9e1028e5707a671040aeff1ba5e548ef5807b62ab81944366712",
+    ("edge", None):
+        "800c8625d1a9186d83300bf91d6389f472e4a70e0215b00f9f0ef85f609aa6f2",
+    ("cycle", EVEN):
+        "5e6a5c913ba752fae40ded51ee1f7516c53cfaebe3a4e206a6dd5348d44a2001",
+    ("cycle", ODD):
+        "6c5de15147323a81f5aef4b144db7adeedc021f2e9fb04dda6b10aa21e99303a",
+}
+
+
+@pytest.mark.parametrize("family,parity", list(REPORT_DIGESTS),
+                         ids=[f"{f}-{p.value if p else 'default'}" for f, p in REPORT_DIGESTS])
+def test_report_lines_byte_exact(family, parity):
+    h = hashlib.sha256()
+    for k, ps in REPORT_GRID:
+        for p in ps if family != "edge" else (None,):
+            try:
+                cg = build_family(family, k, p, parity)
+            except ValueError:
+                continue
+            rep = check_conditions(cg)
+            assert rep.passed, (k, p)
+            h.update(("\n".join(report_lines(rep)) + "\n").encode())
+    assert h.hexdigest() == REPORT_DIGESTS[family, parity]
 
 
 def test_report_lines_format():
