@@ -32,6 +32,15 @@ one ``MeshGraph`` at the end.
 Builders are pure functions of their arguments; building twice yields
 identical graphs.  For k >= 2 and p < 3 the stacked families degenerate
 to a one-dimensional path along axis 1 with the same family tag.
+
+``family_size`` gives a family's vertex count without building it.  It
+follows the same recursions on counts alone: a stacked family is its
+centers plus both copies of every level, the enlarged ones add their
+innermost copies and a pendant count with its own recurrence, g3 is
+2 ceil(p/4) - 1 copies of its inner build, the cycle has 4p or 4p+2
+vertices and the edge 2.  Builder and size function share one
+precondition check per family, so both refuse the same arguments with
+the same message.
 """
 
 from __future__ import annotations
@@ -166,6 +175,54 @@ def _stack(odd: bool, enlarged: bool, k: int, p: int, memo: dict):
     return memo[key]
 
 
+def _pendant_count(odd: bool, k: int, q: int, memo: dict) -> int:
+    """Number of central-plane pendants hung from the core build (k, q).
+
+    Counts what ``_central_plane_pendants`` admits from the copy
+    ``_stack(odd, False, k, q)`` of an enlarged family at p = q + 1.  A
+    vertex at level +-i of that copy passes exactly when its part in the
+    (k-1)-dimensional copy of radius q-i passes the same test at q-i:
+    the coordinate budget 2(q-1) less 2i is 2(q-i-1), and the bound on
+    the last coordinate always holds there.  The centers never pass, so
+    P(k, q) = 2 * sum(P(k-1, q-i) for 1 <= i <= q-2), and on the axis
+    path (k == 1) the nonzero even points, or the odd points off +-1,
+    within 2(q-1) remain.
+    """
+    key = ("pendants", k, q)
+    if key not in memo:
+        if k == 1:
+            memo[key] = max(0, 2 * q - 4) if odd else max(0, 2 * q - 2)
+        else:
+            memo[key] = 2 * sum(_pendant_count(odd, k - 1, q - i, memo) for i in range(1, q - 1))
+    return memo[key]
+
+
+def _stack_size(odd: bool, enlarged: bool, k: int, p: int, memo: dict) -> int:
+    """Vertex count of ``_stack(odd, enlarged, k, p)``, by the same recursion.
+
+    The 1 or 2 centers plus both copies of every stacked level; the
+    enlarged families add the two radius p-1 copies of the innermost
+    levels and the central-plane pendants.  The levels and the central
+    plane are disjoint, so the counts add.  ``memo`` plays the part of
+    ``_stack``'s and lives for one public call.
+    """
+    key = (enlarged, k, p)
+    if key in memo:
+        return memo[key]
+    if k == 1 or p < 3:
+        memo[key] = 2 * p + 1 + odd
+        return memo[key]
+    size = 1 + odd + 2 * sum(
+        _stack_size(odd, enlarged, k - 1, p - i, memo)
+        for i in range(2 if enlarged else 1, p - 1))
+    if enlarged:
+        size += (_stack_size(odd, True, k - 1, p - 1, memo)
+                 + _stack_size(odd, False, k - 1, p - 1, memo)
+                 + _pendant_count(odd, k - 1, p - 1, memo))
+    memo[key] = size
+    return size
+
+
 # ============================================================
 # Degree-4 stacked families
 # ============================================================
@@ -242,6 +299,23 @@ def find_free_pair(g: MeshGraph, used=frozenset()) -> FreePair:
     raise ValueError("no adjacent pair with both degrees at most 2 remains")
 
 
+def _g3_params(k: int, p: int) -> None:
+    """Raise the ValueError the g3 family gives for (k, p), if any."""
+    BuildParams(k, p)
+    least = 4 ** (k - 1)
+    if p < least:
+        raise ValueError(
+            f"family g3 needs p >= 4^(k-1) = {least} at k = {k}, got p = {p}"
+        )
+
+
+def _g3_size(k: int, p: int) -> int:
+    """Vertex count of ``build_degree_three(k, p)`` for admitted (k, p)."""
+    if k == 1:
+        return 2 * p + 1
+    return (2 * (-(-p // 4)) - 1) * _g3_size(k - 1, p // 4)
+
+
 def build_degree_three(k: int, p: int) -> CenteredGraph:
     """Family ``g3``: the degree-3 even-lattice family of diameter <= 2p.
 
@@ -255,12 +329,7 @@ def build_degree_three(k: int, p: int) -> CenteredGraph:
         ValueError: p below 4^(k-1), the smallest radius with enough
             room for k stacking levels.
     """
-    BuildParams(k, p)
-    least = 4 ** (k - 1)
-    if p < least:
-        raise ValueError(
-            f"family g3 needs p >= 4^(k-1) = {least} at k = {k}, got p = {p}"
-        )
+    _g3_params(k, p)
     if k == 1:
         verts, edges = _stack(False, False, 1, p, {})
         return CenteredGraph(MeshGraph(EVEN, 1, verts, edges), _centers(False, 1), p, "g3")
@@ -297,6 +366,15 @@ def build_edge(k: int) -> CenteredGraph:
     return CenteredGraph(g, (origin,), 0, "edge")
 
 
+def _cycle_params(k: int, p: int, parity: LatticeParity) -> None:
+    """Raise the ValueError the cycle family gives for (k, p, parity), if any."""
+    BuildParams(k, p, parity)
+    if k < 2:
+        raise ValueError("family cycle needs k >= 2")
+    if p < 1:
+        raise ValueError(f"family cycle needs p >= 1, got p = {p}")
+
+
 def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
     """Family ``cycle``: a rectangle perimeter of height 1.
 
@@ -308,11 +386,7 @@ def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
     Raises:
         ValueError: k < 2 (a cycle needs two axes) or p < 1.
     """
-    BuildParams(k, p, parity)
-    if k < 2:
-        raise ValueError("family cycle needs k >= 2")
-    if p < 1:
-        raise ValueError(f"family cycle needs p >= 1, got p = {p}")
+    _cycle_params(k, p, parity)
     tail = (0,) * (k - 2)
     if parity is EVEN:
         xs = list(range(-2 * (p - 1), 2 * p + 1, 2))
@@ -342,6 +416,28 @@ FAMILY_BUILDERS = {
 }
 
 
+#: (odd, enlarged) flags of ``_stack`` per stacked family code.
+_STACKED_FLAGS = {
+    "e": (False, False),
+    "eprime": (False, True),
+    "o": (True, False),
+    "oprime": (True, True),
+}
+
+
+def _family_args(family: str, p, parity):
+    """Checks shared by ``build_family`` and ``family_size``; returns (p, parity)."""
+    if family == "edge":
+        if p not in (None, 0):
+            raise ValueError(f"family edge has no radius parameter, got p = {p!r}")
+        return 0, EVEN
+    if p is None:
+        raise ValueError(f"family {family!r} needs a radius parameter p")
+    if family != "cycle" and family not in FAMILY_BUILDERS:
+        raise ValueError(f"unknown family code {family!r}")
+    return p, parity if parity is not None else EVEN
+
+
 def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
     """Build any family by its code.
 
@@ -351,15 +447,36 @@ def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
     Raises:
         ValueError: unknown family code or arguments the family rejects.
     """
+    p, parity = _family_args(family, p, parity)
     if family == "edge":
-        if p not in (None, 0):
-            raise ValueError(f"family edge has no radius parameter, got p = {p!r}")
         return build_edge(k)
-    if p is None:
-        raise ValueError(f"family {family!r} needs a radius parameter p")
     if family == "cycle":
-        return build_cycle(k, p, parity if parity is not None else EVEN)
-    builder = FAMILY_BUILDERS.get(family)
-    if builder is None:
-        raise ValueError(f"unknown family code {family!r}")
-    return builder(k, p)
+        return build_cycle(k, p, parity)
+    return FAMILY_BUILDERS[family](k, p)
+
+
+def family_size(family: str, k: int, p=None, parity=None) -> int:
+    """Vertex count of ``build_family(family, k, p, parity)`` without building it.
+
+    Takes the same arguments and raises the same ValueError text as
+    ``build_family``.  The stacked families and g3 follow their builders'
+    recursions on sizes alone, so large k and p stay cheap (e at k = 8,
+    p = 200 takes milliseconds); tests tie every family's count to its
+    built graph.
+
+    Raises:
+        ValueError: unknown family code or arguments the family rejects.
+    """
+    p, parity = _family_args(family, p, parity)
+    if family == "edge":
+        BuildParams(k, 0)
+        return 2
+    if family == "cycle":
+        _cycle_params(k, p, parity)
+        return 4 * p + 2 * (parity is ODD)
+    if family == "g3":
+        _g3_params(k, p)
+        return _g3_size(k, p)
+    BuildParams(k, p)
+    odd, enlarged = _STACKED_FLAGS[family]
+    return _stack_size(odd, enlarged, k, p, {})

@@ -118,6 +118,18 @@ def test_table_csv_and_pretty():
     assert "odd" in r.output
 
 
+def test_table_reaches_large_dimension_and_radius():
+    # sizes come from recurrences, so k = 8 at p = 100 needs no graph
+    r = run("table", "--parity", "odd", "--k", "2..8", "--p", "98..100",
+            "--delta", "4")
+    assert r.exit_code == 0
+    lines = r.output.strip().split("\n")
+    assert len(lines) == 22
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert int(cells[5]) <= int(cells[4]) <= int(cells[6]), line
+
+
 def test_table_rejects_reversed_range():
     r = run("table", "--parity", "even", "--k", "5..2", "--p", "3",
             "--delta", "2")

@@ -16,6 +16,7 @@ from meshddbs import (
     build_odd_extended,
     diameter,
     eccentricity,
+    family_size,
     find_free_pair,
     graph_to_json,
     max_degree,
@@ -214,3 +215,44 @@ def test_stacked_builders_byte_exact(family):
         for p in ps:
             h.update((graph_to_json(build_family(family, k, p)) + "\n").encode())
     assert h.hexdigest() == STACKED_DIGESTS[family]
+
+
+SIZE_GRID = {
+    "e": ((1, range(21)), (2, range(31)), (3, range(16)), (4, range(11))),
+    "g3": ((1, range(1, 21)), (2, range(4, 71)), (3, range(16, 61))),
+    "cycle": ((2, range(1, 21)), (3, range(1, 11)), (4, range(1, 6))),
+    "edge": ((1, (None,)), (2, (None, 0)), (4, (None,))),
+}
+SIZE_GRID.update(dict.fromkeys(("eprime", "o", "oprime"), SIZE_GRID["e"]))
+
+
+@pytest.mark.parametrize("family", sorted(SIZE_GRID))
+def test_family_size_matches_build(family):
+    for k, ps in SIZE_GRID[family]:
+        for p in ps:
+            for parity in (None, EVEN, ODD) if family == "cycle" else (None,):
+                built = n(build_family(family, k, p, parity))
+                assert family_size(family, k, p, parity) == built, (k, p, parity)
+
+
+@pytest.mark.parametrize("args", [
+    ("g3", 3, 6), ("g3", 2, 3), ("g3", 1, 0), ("cycle", 1, 3), ("cycle", 2, 0),
+    ("cycle", 2, 2, "odd"), ("e", 0, 3), ("oprime", 2, -1), ("o", 2, 2.5),
+    ("eprime", True, 3), ("e", 2, True), ("edge", 2, 3), ("edge", 0), ("zzz", 2, 3),
+    ("e", 2), ("g3", 2),
+])
+def test_family_size_refuses_like_the_builder(args):
+    with pytest.raises(ValueError) as built:
+        build_family(*args)
+    with pytest.raises(ValueError) as sized:
+        family_size(*args)
+    assert str(sized.value) == str(built.value)
+
+
+def test_family_size_two_dim_closed_forms():
+    # the closed forms of test_two_dim_sizes, far past where building is cheap
+    for p in range(3, 1001):
+        assert family_size("e", 2, p) == 2 * p * p - 7
+        assert family_size("eprime", 2, p) == 2 * p * p + 2 * p - 11
+        assert family_size("o", 2, p) == 2 * p * p + 2 * p - 10
+        assert family_size("oprime", 2, p) == 2 * p * p + 4 * p - 16

@@ -17,6 +17,7 @@ from meshddbs import (
     compare_bounds,
     diameter,
     eccentricity,
+    family_size,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -231,6 +232,8 @@ MALFORMED = {
     "meshgraph-k-bool": lambda: MeshGraph(EVEN, True, [], []),
     "ballspec-k-bool": lambda: BallSpec(EVEN, True, 3),
     "compare_bounds-delta-bool": lambda: compare_bounds(EVEN, 2, True, 3),
+    "family_size-k-bool": lambda: family_size("e", True, 3),
+    "family_size-p-bool": lambda: family_size("e", 2, True),
     "result-optimum-str": lambda: result_from_json(_result_json(optimum="7")),
     "result-optimum-bool": lambda: result_from_json(_result_json(optimum=True)),
     "result-optimal-str": lambda: result_from_json(_result_json(optimal="yes")),

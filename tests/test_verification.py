@@ -14,6 +14,7 @@ from meshddbs import (
     compare_bounds,
     count_points,
     diameter,
+    family_size,
     max_degree,
     report_lines,
     rows_to_csv,
@@ -201,7 +202,7 @@ def test_compare_bounds_picks_by_degree():
     assert compare_bounds(EVEN, 2, 1, 5).construction == 2
     assert compare_bounds(EVEN, 2, 2, 5).construction == 20
     assert compare_bounds(ODD, 2, 2, 5).construction == 22
-    assert compare_bounds(EVEN, 2, 3, 8).construction == 15
+    assert compare_bounds(EVEN, 2, 3, 8).construction == 32
     assert compare_bounds(ODD, 3, 4, 5).construction == 108
 
 
@@ -219,9 +220,50 @@ def test_compare_bounds_rejects_bad_degree():
 
 
 def test_compare_bounds_inlines_builder_failures():
-    row = compare_bounds(EVEN, 3, 3, 6)  # degree-3 family needs p >= 16
+    row = compare_bounds(EVEN, 3, 3, 0)  # g3 needs p >= 16, the cycle p >= 1
     assert row.construction is None
     assert row.status.startswith("skipped:")
+
+
+def test_degree_three_reports_the_larger_of_g3_and_cycle():
+    # g3 refuses p < 4^(k-1) and loses to the 4p-cycle below p = 16 at
+    # k = 2; the row keeps g3's refusal text only when both refuse
+    for parity, odd in ((EVEN, 0), (ODD, 1)):
+        for k in (2, 3):
+            for p in range(1, 40):
+                cycle = family_size("cycle", k, p, parity)
+                assert cycle == 4 * p + 2 * odd
+                try:
+                    g3 = family_size("g3", k, p)
+                except ValueError:
+                    g3 = 0
+                row = compare_bounds(parity, k, 3, p)
+                assert row.construction == max(g3, cycle), (parity, k, p)
+                assert row.status == "ok"
+    assert compare_bounds(EVEN, 2, 3, 32).construction == family_size("g3", 2, 32) == 255
+    row = compare_bounds(ODD, 2, 3, 0)
+    assert row.status == "skipped: family g3 needs p >= 4^(k-1) = 4 at k = 2, got p = 0"
+
+
+def test_even_degree_one_row_at_radius_zero_is_one_vertex():
+    # the edge's diameter 1 exceeds 2p = 0; the single vertex is the ball
+    for k in (1, 2, 3):
+        row = compare_bounds(EVEN, k, 1, 0)
+        assert row.construction == row.ball_lower == row.ball_upper == 1
+        assert row.status == "ok"
+        assert compare_bounds(ODD, k, 1, 0).construction == 2
+        assert compare_bounds(EVEN, k, 1, 1).construction == 2
+
+
+def test_construction_rises_with_degree_and_stays_under_the_ball():
+    for parity in (EVEN, ODD):
+        for k in (2, 3, 4):
+            for p in range(0, 41):
+                rows = [compare_bounds(parity, k, d, p) for d in range(1, 2 * k + 1)]
+                sizes = [r.construction for r in rows]
+                assert all(s is None or s <= r.ball_upper for s, r in zip(sizes, rows))
+                if p >= 1:
+                    assert sizes == sorted(sizes), (parity, k, p, sizes)
 
 
 def test_row_invariant_guard():
