@@ -156,11 +156,15 @@ def table(parity, k_range, p_range, delta, fmt):
 @click.option("--diameter", required=True, type=int)
 @click.option("--mode", type=click.Choice(["exact", "induced"]), default="exact")
 @click.option("--max-nodes", type=int, default=None)
-def solve(k, delta, diameter, mode, max_nodes):
+@click.option("--max-seconds", type=float, default=None)
+@click.option("--region-cap", type=int, default=solver.DEFAULT_REGION_CAP,
+              show_default=True, help="Largest candidate ball searched.")
+def solve(k, delta, diameter, mode, max_nodes, max_seconds, region_cap):
     """Solve one instance exactly and print the result with its witness."""
     try:
         req = solver.SolveRequest(
-            k=k, delta=delta, diameter=diameter, mode=mode, max_nodes=max_nodes
+            k=k, delta=delta, diameter=diameter, mode=mode, max_nodes=max_nodes,
+            max_seconds=max_seconds, region_cap=region_cap,
         )
         res = solver.solve_exact(req)
     except ValueError as exc:

@@ -19,6 +19,23 @@ upper bound is the bipartite Moore bound (every mesh subgraph is
 bipartite).  Within one size, vertex sets are explored in lexicographic
 order with include-first branching, so the first witness found is the
 lexicographically smallest one in the canonical frame.
+
+Incremental distance checks.  Each search node asks whether every
+chosen vertex still reaches every other within the bound, using only
+chosen-or-candidate vertices (the allowed set); the leaf and each
+degree-shedding step ask the same inside the chosen set.  Three facts
+let most of these BFS runs be skipped without changing any answer.
+Distance is symmetric, so the sources ``chosen[:-1]`` cover every pair.
+Allowed sets only shrink from a node to its children, and a BFS inside
+a smaller allowed set that still contains the old reach finds exactly
+that reach again: every shortest path it used stays inside the reach.
+So a node reuses its parent's reach of a source unless a vertex of it
+just left the allowed set.  When shedding drops an edge, its endpoints
+lie on adjacent BFS layers of every source, because mesh subgraphs are
+bipartite; if the farther endpoint keeps a neighbour on the nearer
+layer, no distance from that source changes and its layers are kept.
+Node counts, optima and witnesses are therefore those of a full
+recheck at every step.
 """
 
 from __future__ import annotations
@@ -146,9 +163,14 @@ def _canonical(pt) -> bool:
 
 
 def _reach(adj, src_bit, allowed, hops):
-    """Bitmask of vertices within ``hops`` of ``src_bit`` inside ``allowed``."""
+    """Vertices within ``hops`` of ``src_bit`` inside ``allowed``, and their BFS layers.
+
+    Returns ``(reach, layers)``: ``layers[i]`` is the bitmask of vertices
+    at distance exactly ``i`` and ``reach`` is their union.
+    """
     reach = src_bit
     frontier = src_bit
+    layers = [src_bit]
     for _ in range(hops):
         nxt = 0
         f = frontier
@@ -161,7 +183,8 @@ def _reach(adj, src_bit, allowed, hops):
             break
         reach |= nxt
         frontier = nxt
-    return reach
+        layers.append(nxt)
+    return reach, layers
 
 
 class _Search:
@@ -180,36 +203,55 @@ class _Search:
         self.target = target
         if target == 1:
             return [0], []
-        return self._rec([0], 1, self.compat[0])
+        return self._rec([0], 1, self.compat[0], [])
 
-    def _rec(self, chosen, smask, cand):
+    def _rec(self, chosen, smask, cand, reaches):
         self.budget.spend()
         need = self.target - len(chosen)
         if need == 0:
-            return self._leaf(chosen, smask)
+            return self._leaf(chosen, smask, reaches)
         if cand.bit_count() < need:
             return None
         # Every chosen vertex must still reach every other within the
         # bound using only chosen-or-candidate vertices; subsets only
         # lose paths, so failure here dooms the whole subtree.
-        if not self._reaches_all(self.adj, chosen, smask | cand, smask):
+        reaches = self._reaches(chosen, smask | cand, smask, reaches)
+        if reaches is None:
             return None
         b = cand & -cand
         j = b.bit_length() - 1
         rest = cand ^ b
-        found = self._rec(chosen + [j], smask | b, rest & self.compat[j])
+        found = self._rec(chosen + [j], smask | b, rest & self.compat[j], reaches)
         if found is not None:
             return found
-        return self._rec(chosen, smask, rest)
+        return self._rec(chosen, smask, rest, reaches)
 
-    def _leaf(self, chosen, smask):
-        rows = [0] * len(self.adj)
-        for v in chosen:
-            rows[v] = self.adj[v] & smask
-        if not self._reaches_all(rows, chosen, smask, smask):
+    def _reaches(self, chosen, allowed, smask, carried):
+        """Reaches of ``chosen[:-1]`` inside ``allowed``, or None if one misses ``smask``.
+
+        ``carried[i]`` is the reach of ``chosen[i]`` inside an allowed set
+        that contains ``allowed``; it is kept when it lies inside
+        ``allowed``.  The last chosen vertex needs no BFS of its own:
+        distance is symmetric, so the other sources cover its pairs.
+        """
+        out = []
+        for i in range(len(chosen) - 1):
+            r = carried[i] if i < len(carried) else None
+            if r is None or r & ~allowed:
+                r = _reach(self.adj, 1 << chosen[i], allowed, self.bound)[0]
+            if smask & ~r:
+                return None
+            out.append(r)
+        return out
+
+    def _leaf(self, chosen, smask, reaches):
+        if self._reaches(chosen, smask, smask, reaches) is None:
             # Removing edges only disconnects or stretches distances, so
             # no edge subset of this induced graph can help.
             return None
+        rows = [0] * len(self.adj)
+        for v in chosen:
+            rows[v] = self.adj[v] & smask
         if max(rows[v].bit_count() for v in chosen) > self.delta:
             if self.mode == "induced":
                 return None
@@ -225,13 +267,6 @@ class _Search:
                 m ^= b
         return chosen, edges
 
-    def _reaches_all(self, rows, chosen, allowed, smask):
-        """True when every chosen vertex reaches all of ``smask`` in bound hops via ``allowed``."""
-        for v in chosen:
-            if smask & ~_reach(rows, 1 << v, allowed, self.bound):
-                return False
-        return True
-
     def _shed_degrees(self, rows, chosen, smask):
         """Search edge subsets until every degree fits, distances allowing.
 
@@ -242,8 +277,9 @@ class _Search:
         removal cannot undo either.
         """
         seen = set()
+        sources = chosen[:-1]
 
-        def attempt(rows):
+        def attempt(rows, layers):
             key = tuple(rows)
             if key in seen:
                 return None
@@ -260,13 +296,57 @@ class _Search:
                 trimmed = rows.copy()
                 trimmed[bad] ^= b
                 trimmed[u] ^= 1 << bad
-                if self._reaches_all(trimmed, chosen, smask, smask):
-                    found = attempt(trimmed)
+                kept = self._drop_layers(trimmed, sources, smask, layers, bad, u)
+                if kept is not None:
+                    found = attempt(trimmed, kept)
                     if found is not None:
                         return found
             return None
 
-        return attempt(rows)
+        return attempt(rows, [_reach(rows, 1 << v, smask, self.bound)[1] for v in sources])
+
+    def _drop_layers(self, rows, sources, smask, layers, a, b):
+        """BFS layers of each source once edge (a, b) is gone from ``rows``.
+
+        Returns None when a source no longer reaches all of ``smask``.
+        The graph is bipartite, so a and b lie on adjacent layers of
+        every source.  Only distances through the farther endpoint can
+        grow, and they do not if it keeps a neighbour on the nearer
+        layer; only then are that source's layers kept.
+        """
+        bit_a = 1 << a
+        bit_b = 1 << b
+        out = []
+        for v, ls in zip(sources, layers):
+            for i, layer in enumerate(ls):
+                if layer & bit_a:
+                    far = b
+                    break
+                if layer & bit_b:
+                    far = a
+                    break
+            if not rows[far] & ls[i]:
+                reach, ls = _reach(rows, 1 << v, smask, self.bound)
+                if smask & ~reach:
+                    return None
+            out.append(ls)
+        return out
+
+
+def _region(k, bound):
+    """The canonical half ball of radius ``bound`` and its mesh adjacency bitmasks."""
+    ball = formulas.ball_enumerate(formulas.BallSpec(LatticeParity.EVEN, k, bound))
+    pts = sorted(pt for pt in ball if _canonical(pt))
+    pos = {pt: i for i, pt in enumerate(pts)}
+    adj = [0] * len(pts)
+    for i, pt in enumerate(pts):
+        for axis in range(k):
+            for step in (-2, 2):
+                q = pt[:axis] + (pt[axis] + step,) + pt[axis + 1:]
+                j = pos.get(q)
+                if j is not None:
+                    adj[i] |= 1 << j
+    return pts, adj
 
 
 def solve_exact(req: SolveRequest) -> SolveResult:
@@ -301,20 +381,10 @@ def solve_exact(req: SolveRequest) -> SolveResult:
             f"{req.region_cap}; raise region_cap to search this instance"
         )
 
-    ball = formulas.ball_enumerate(formulas.BallSpec(LatticeParity.EVEN, req.k, bound))
-    pts = sorted(pt for pt in ball if _canonical(pt))
+    pts, adj = _region(req.k, bound)
     n_r = len(pts)
-    pos = {pt: i for i, pt in enumerate(pts)}
-    adj = [0] * n_r
-    for i, pt in enumerate(pts):
-        for axis in range(req.k):
-            for step in (-2, 2):
-                q = pt[:axis] + (pt[axis] + step,) + pt[axis + 1:]
-                j = pos.get(q)
-                if j is not None:
-                    adj[i] |= 1 << j
     every = (1 << n_r) - 1
-    compat = [_reach(adj, 1 << i, every, bound) & ~(1 << i) for i in range(n_r)]
+    compat = [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i) for i in range(n_r)]
 
     budget = _Budget(req.max_nodes, req.max_seconds)
     search = _Search(adj, compat, delta, bound, req.mode, budget)
@@ -371,16 +441,25 @@ def _finish(req, verts, edges, optimal, explored, t0, notes):
 def verify_witness(res: SolveResult, req: SolveRequest) -> bool:
     """Recheck a result's witness from scratch against its request.
 
-    Confirms the vertex count matches the claimed optimum, the maximum
-    degree fits the requested cap, and the diameter fits the bound
-    (which implies connectivity).  Edge validity is enforced by the
-    witness graph itself.
+    Confirms the witness lives in the requested dimension, the vertex
+    count matches the claimed optimum, the maximum degree fits the
+    requested cap, the diameter fits the bound (which implies
+    connectivity) and, in induced mode, every mesh edge between two
+    witness vertices is kept.  Edge validity is enforced by the witness
+    graph itself.
     """
     w = res.witness
-    if len(w.vertices) != res.optimum:
+    if w.k != req.k or len(w.vertices) != res.optimum:
         return False
     if max_degree(w) > req.delta:
         return False
+    if req.mode == "induced":
+        mesh_pairs = sum(
+            1 for v in w.vertices for axis in range(w.k)
+            if w.has_vertex(v[:axis] + (v[axis] + 2,) + v[axis + 1:])
+        )
+        if mesh_pairs != len(w.edges):
+            return False
     if len(w.vertices) > 1:
         d = diameter(w)
         if d is INFINITE or d > req.diameter:

@@ -156,6 +156,21 @@ def test_solve_modes_and_cap():
     assert "region cap" in r.output
 
 
+def test_solve_region_cap_and_time_budget():
+    r = run("solve", "--k", "2", "--delta", "3", "--diameter", "5")
+    assert r.exit_code == 1
+    r = run("solve", "--k", "2", "--delta", "3", "--diameter", "5",
+            "--region-cap", "61", "--max-seconds", "120")
+    assert r.exit_code == 0
+    assert "optimum=14" in r.output
+    assert "optimal=true" in r.output
+    for flag, value in (("--region-cap", "0"), ("--max-seconds", "0")):
+        r = run("solve", "--k", "2", "--delta", "3", "--diameter", "2", flag, value)
+        assert r.exit_code == 1
+        assert flag.lstrip("-").replace("-", "_") in r.output
+        assert isinstance(r.exception, SystemExit)  # no uncaught error
+
+
 def test_export_dot_and_json(tmp_path):
     out = tmp_path / "g.json"
     run("build", "--family", "o", "--k", "2", "--p", "3", "--out", str(out))

@@ -18,7 +18,15 @@ from meshddbs import (
     verify_witness,
 )
 from meshddbs.formulas import BallSpec, ball_enumerate
-from meshddbs.solver import request_from_json, request_to_json, result_from_json, result_to_json
+from meshddbs.solver import (
+    _reach,
+    _region,
+    _Search,
+    request_from_json,
+    request_to_json,
+    result_from_json,
+    result_to_json,
+)
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -146,3 +154,80 @@ def test_mutated_json_parses_or_raises_value_error(seed, data):
         parse(mutated)
     except ValueError:
         pass
+
+
+# The solver's incremental distance checks, against fresh BFS runs
+# inside small solver regions: (k, radius) of the canonical half ball.
+REGIONS = [(2, 3), (2, 4), (3, 2), (3, 3)]
+
+
+@given(st.sampled_from(REGIONS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kept_search_reach_equals_fresh_reach(region, data):
+    k, bound = region
+    adj = _region(k, bound)[1]
+    n = len(adj)
+    search = _Search(adj, None, 2 * k, bound, "exact", None)
+    chosen = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=6)))
+    smask = sum(1 << v for v in chosen)
+    wide = smask | data.draw(st.integers(0, (1 << n) - 1))
+    carried = [_reach(adj, 1 << v, wide, bound)[0]
+               for v in chosen[:data.draw(st.integers(0, len(chosen) - 1))]]
+    drop = data.draw(st.integers(0, (1 << n) - 1)) & ~smask
+    if data.draw(st.booleans()):
+        # spare every carried reach, so each one is kept
+        for r in carried:
+            drop &= ~r
+    narrow = wide & ~drop
+    fresh = [_reach(adj, 1 << v, narrow, bound)[0] for v in chosen[:-1]]
+    want = None if any(smask & ~r for r in fresh) else fresh
+    assert search._reaches(chosen, narrow, smask, carried) == want
+
+
+@given(st.sampled_from(REGIONS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kept_shed_layers_equal_fresh_layers(region, data):
+    k, bound = region
+    adj = _region(k, bound)[1]
+    # grow a connected vertex set from a random start
+    chosen = [data.draw(st.integers(0, len(adj) - 1))]
+    smask = 1 << chosen[0]
+    for _ in range(data.draw(st.integers(1, 7))):
+        grow = sorted(u for v in chosen for u in range(len(adj))
+                      if adj[v] >> u & 1 and not smask >> u & 1)
+        if not grow:
+            break
+        u = data.draw(st.sampled_from(grow))
+        chosen.append(u)
+        smask |= 1 << u
+    chosen.sort()
+    rows = [adj[v] & smask if smask >> v & 1 else 0 for v in range(len(adj))]
+    hops = data.draw(st.integers(1, 2 * bound))
+    search = _Search(adj, None, 2 * k, hops, "exact", None)
+    sources = chosen[:-1]
+
+    def fresh(rows):
+        out = []
+        for v in sources:
+            reach, layers = _reach(rows, 1 << v, smask, search.bound)
+            if smask & ~reach:
+                return None
+            out.append(layers)
+        return out
+
+    layers = fresh(rows)
+    if layers is None:
+        # connected, so every source reaches all within len(chosen) hops
+        search.bound = len(chosen)
+        layers = fresh(rows)
+    while layers is not None:
+        edges = [(a, b) for a in chosen for b in chosen if a < b and rows[a] >> b & 1]
+        if not edges:
+            break
+        a, b = data.draw(st.sampled_from(edges))
+        rows = rows.copy()
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        kept = search._drop_layers(rows, sources, smask, layers, a, b)
+        assert kept == fresh(rows)
+        layers = kept

@@ -122,6 +122,17 @@ def test_verify_witness_rejects_mismatch():
     assert not verify_witness(SolveResult(tight, res.optimum, res.witness,
                                           res.optimal, res.explored,
                                           res.elapsed, res.notes), tight)
+    # a 3-D witness answers no 2-D request
+    cube = solve_exact(SolveRequest(k=3, delta=2, diameter=2))
+    assert verify_witness(cube, cube.request)
+    assert not verify_witness(cube, req)
+    # the exact k=2, degree-3, D=4 witness drops two mesh edges, so it
+    # is no induced witness
+    exact = solve_exact(SolveRequest(k=2, delta=3, diameter=4))
+    induced = SolveRequest(k=2, delta=3, diameter=4, mode="induced")
+    assert verify_witness(exact, exact.request)
+    assert not verify_witness(exact, induced)
+    assert verify_witness(solve_exact(induced), induced)
 
 
 def test_json_round_trips():
@@ -161,11 +172,33 @@ PINNED = [
     (SolveRequest(k=2, delta=3, diameter=4, mode="induced"), 9, False, 2089,
      [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [4, 2], [4, 4], [6, 2]],
      [[0, 1], [0, 4], [1, 2], [1, 5], [3, 4], [4, 5], [5, 6], [6, 7], [6, 8]]),
+    # The three below were recorded before the distance checks became
+    # incremental.  Deep degree shedding:
+    (SolveRequest(k=3, delta=3, diameter=3, region_cap=63), 8, True, 6146,
+     [[0, 0, 0], [0, 0, 2], [0, 0, 4], [0, 2, 0], [0, 2, 2], [0, 2, 4], [2, 0, 2],
+      [2, 2, 2]],
+     [[0, 1], [0, 3], [1, 2], [1, 6], [2, 5], [3, 4], [4, 5], [4, 7], [6, 7]]),
+    # reaches kept on both the include and the exclude branch:
+    (SolveRequest(k=2, delta=4, diameter=7, region_cap=113), 32, True, 5381,
+     [[0, 0], [0, 2], [2, -2], [2, 0], [2, 2], [2, 4], [4, -4], [4, -2], [4, 0], [4, 2],
+      [4, 4], [4, 6], [6, -6], [6, -4], [6, -2], [6, 0], [6, 2], [6, 4], [6, 6], [6, 8],
+      [8, -4], [8, -2], [8, 0], [8, 2], [8, 4], [8, 6], [10, -2], [10, 0], [10, 2],
+      [10, 4], [12, 0], [12, 2]],
+     [[0, 1], [0, 3], [1, 4], [2, 3], [2, 7], [3, 4], [3, 8], [4, 5], [4, 9], [5, 10],
+      [6, 7], [6, 13], [7, 8], [7, 14], [8, 9], [8, 15], [9, 10], [9, 16], [10, 11],
+      [10, 17], [11, 18], [12, 13], [13, 14], [13, 20], [14, 15], [14, 21], [15, 16],
+      [15, 22], [16, 17], [16, 23], [17, 18], [17, 24], [18, 19], [18, 25], [20, 21],
+      [21, 22], [21, 26], [22, 23], [22, 27], [23, 24], [23, 28], [24, 25], [24, 29],
+      [26, 27], [27, 28], [27, 30], [28, 29], [28, 31], [30, 31]]),
+    # node budget runs out:
+    (SolveRequest(k=3, delta=3, diameter=4, max_nodes=8000, region_cap=129), 1, False,
+     8000, [[0, 0, 0]], []),
 ]
 
 
 @pytest.mark.parametrize("req,optimum,optimal,explored,verts,edges", PINNED,
-                         ids=["k2d3D4", "k2d3D5", "k3d4D3", "k2d3D4-induced"])
+                         ids=["k2d3D4", "k2d3D5", "k3d4D3", "k2d3D4-induced",
+                              "k3d3D3", "k2d4D7", "k3d3D4-budget"])
 def test_pinned_search_results(req, optimum, optimal, explored, verts, edges):
     res = solve_exact(req)
     assert (res.optimum, res.optimal, res.explored) == (optimum, optimal, explored)
