@@ -294,7 +294,7 @@ def find_free_pair(g: MeshGraph, used=frozenset()) -> FreePair:
     for a, b in g.edges:
         if (a, b) in blocked:
             continue
-        if len(g.neighbors(a)) <= 2 and len(g.neighbors(b)) <= 2:
+        if g.degree(a) <= 2 and g.degree(b) <= 2:
             return FreePair(a, b)
     raise ValueError("no adjacent pair with both degrees at most 2 remains")
 

@@ -76,52 +76,25 @@ def ball_enumerate(spec: BallSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
             f"ball holds {total} points, beyond the enumeration cap of {cap}"
         )
     k, p = spec.k, spec.p
+    odd = spec.parity is LatticeParity.ODD
     pts = []
-    append = pts.append
     cur = [0] * k
 
     def walk(axis: int, budget: int) -> None:
-        if axis == k - 1:
-            for t in range(-budget, budget + 1):
-                cur[axis] = 2 * t
-                append(tuple(cur))
-            return
-        for t in range(-budget, budget + 1):
-            cur[axis] = 2 * t
-            walk(axis + 1, budget - abs(t))
+        # Doubled entries on this axis with the budget they leave: 2t at
+        # cost |t|, except the odd lattice's first axis, +-(2b+1) at cost b.
+        if odd and axis == 0:
+            steps = [(s * (2 * b + 1), budget - b) for b in range(budget + 1) for s in (-1, 1)]
+        else:
+            steps = [(2 * t, budget - abs(t)) for t in range(-budget, budget + 1)]
+        for c, rest in steps:
+            cur[axis] = c
+            if axis == k - 1:
+                pts.append(tuple(cur))
+            else:
+                walk(axis + 1, rest)
 
-    if spec.parity is LatticeParity.EVEN:
-        walk(0, p)
-    else:
-        # Doubled odd points (2b+1, 2t2, ..., 2tk) within doubled
-        # distance 2p+1 of the origin; |2b+1| is odd so the constraint
-        # is |b| + sum|t| <= p with b shifted across both signs.
-        def walk_odd(budget: int) -> None:
-            if k == 1:
-                for b in range(-budget - 1, budget + 1):
-                    half = 2 * b + 1
-                    if abs(half) <= 2 * budget + 1:
-                        append((half,))
-                return
-            rest = [0] * (k - 1)
-
-            def tail(axis: int, budget2: int, prefix_first: int) -> None:
-                if axis == k - 2:
-                    for t in range(-budget2, budget2 + 1):
-                        rest[axis] = 2 * t
-                        append((prefix_first, *rest))
-                    return
-                for t in range(-budget2, budget2 + 1):
-                    rest[axis] = 2 * t
-                    tail(axis + 1, budget2 - abs(t), prefix_first)
-
-            for b in range(-budget - 1, budget + 1):
-                half = 2 * b + 1
-                slack = (2 * budget + 1 - abs(half)) // 2
-                if slack >= 0:
-                    tail(0, slack, half)
-
-        walk_odd(p)
+    walk(0, p)
     return set(pts)
 
 

@@ -118,43 +118,50 @@ class MeshGraph:
     deduplicated and sorted lexicographically, edges are stored as
     sorted endpoint pairs in sorted order.  Every edge must join two
     stored vertices at doubled distance exactly 2.
+
+    The graph keeps one vertex index (point to position in ``vertices``)
+    and one adjacency over positions.  Each adjacency row is ascending,
+    because the sorted edge list lists a vertex's lower neighbours
+    before its higher ones, so ``neighbors`` returns sorted points.
+    Only this module reads the stored index and adjacency.
     """
 
-    __slots__ = ("parity", "k", "vertices", "edges", "_vset", "_adj", "_iadj")
+    __slots__ = ("parity", "k", "vertices", "edges", "_index", "_iadj")
 
     def __init__(self, parity: LatticeParity, k: int, vertices, edges):
         if not isinstance(parity, LatticeParity):
             raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
         if not _int_at_least(k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
-        vts = sorted({validate_point(v, k, parity) for v in vertices})
-        vset = frozenset(vts)
+        vts = tuple(sorted({validate_point(v, k, parity) for v in vertices}))
+        index = {v: i for i, v in enumerate(vts)}
         canon = set()
         for e in edges:
-            a, b = e
-            a = tuple(a)
-            b = tuple(b)
-            if a not in vset or b not in vset:
+            a, b = map(tuple, e)
+            if a not in index or b not in index:
                 raise ValueError(f"edge {a!r} -- {b!r} has an endpoint outside the vertex set")
             if _l1(a, b) != 2:
                 raise ValueError(
                     f"edge {a!r} -- {b!r} is not a mesh edge (doubled distance {_l1(a, b)})"
                 )
             canon.add((a, b) if a < b else (b, a))
+        canon = tuple(sorted(canon))
+        iadj = [[] for _ in vts]
+        for a, b in canon:
+            ia, ib = index[a], index[b]
+            iadj[ia].append(ib)
+            iadj[ib].append(ia)
         self.parity = parity
         self.k = k
-        self.vertices = tuple(vts)
-        self.edges = tuple(sorted(canon))
-        self._vset = vset
-        adj = {v: [] for v in vts}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._iadj = None
+        self.vertices = vts
+        self.edges = canon
+        self._index = index
+        self._iadj = tuple(map(tuple, iadj))
 
     def __setattr__(self, name, value):
-        if hasattr(self, "_iadj") and name != "_iadj":
+        # Slots are filled once, in slot order, by __init__ or when pickle
+        # and copy restore a graph; _iadj comes last and seals the graph.
+        if hasattr(self, "_iadj"):
             raise AttributeError("MeshGraph is immutable")
         object.__setattr__(self, name, value)
 
@@ -178,35 +185,25 @@ class MeshGraph:
         )
 
     def has_vertex(self, v: Point) -> bool:
-        return tuple(v) in self._vset
+        return tuple(v) in self._index
+
+    def index(self, v: Point) -> int:
+        """Position of ``v`` in ``vertices``; ValueError if absent, as ``tuple.index``."""
+        i = self._index.get(tuple(v))
+        if i is None:
+            raise ValueError(f"{tuple(v)!r} is not a vertex of this graph")
+        return i
 
     def neighbors(self, v: Point) -> tuple:
-        if v not in self._vset:
-            raise ValueError(f"{v!r} is not a vertex of this graph")
-        return self._adj[v]
+        """Neighbours of ``v`` in sorted order."""
+        verts = self.vertices
+        return tuple(verts[j] for j in self._iadj[self.index(v)])
 
     def degree(self, v: Point) -> int:
-        return len(self.neighbors(v))
-
-    def int_adjacency(self) -> list:
-        """Adjacency lists over vertex indices, cached.
-
-        Index i refers to ``self.vertices[i]``.  Used by the distance
-        routines so breadth-first sweeps run over small ints instead of
-        coordinate tuples.
-        """
-        if self._iadj is None:
-            index = {v: i for i, v in enumerate(self.vertices)}
-            iadj = [[] for _ in self.vertices]
-            for a, b in self.edges:
-                ia, ib = index[a], index[b]
-                iadj[ia].append(ib)
-                iadj[ib].append(ia)
-            self._iadj = iadj
-        return self._iadj
+        return len(self._iadj[self.index(v)])
 
 
-def _int_bfs(iadj: list, src: int) -> list:
+def _int_bfs(iadj, src: int) -> list:
     """Hop counts from ``src`` over adjacency lists, -1 where unreachable."""
     dist = [-1] * len(iadj)
     dist[src] = 0
@@ -220,6 +217,15 @@ def _int_bfs(iadj: list, src: int) -> list:
     return dist
 
 
+def hop_counts(g: MeshGraph, src: Point) -> list:
+    """Hop counts from ``src``, in the order of ``g.vertices``, -1 where unreachable.
+
+    Raises:
+        ValueError: ``src`` is not a vertex of ``g``.
+    """
+    return _int_bfs(g._iadj, g.index(src))
+
+
 def bfs_distances(g: MeshGraph, src: Point) -> dict:
     """Hop counts from ``src`` to every vertex it can reach.
 
@@ -228,40 +234,23 @@ def bfs_distances(g: MeshGraph, src: Point) -> dict:
     Raises:
         ValueError: ``src`` is not a vertex of ``g``.
     """
-    src = tuple(src)
-    if not g.has_vertex(src):
-        raise ValueError(f"source {src!r} is not a vertex of this graph")
-    iadj = g.int_adjacency()
-    index = g.vertices.index(src)
-    dist = _int_bfs(iadj, index)
     verts = g.vertices
-    return {verts[i]: d for i, d in enumerate(dist) if d >= 0}
+    return {verts[i]: d for i, d in enumerate(hop_counts(g, src)) if d >= 0}
 
 
 def max_degree(g: MeshGraph) -> int:
     """Largest vertex degree, 0 for an empty or edgeless graph."""
-    if not g.vertices:
-        return 0
-    return max(len(g._adj[v]) for v in g.vertices)
+    return max(map(len, g._iadj), default=0)
 
 
 def eccentricity(g: MeshGraph, v: Point):
     """Largest hop count from ``v``, INFINITE if some vertex is unreachable."""
-    v = tuple(v)
-    if not g.has_vertex(v):
-        raise ValueError(f"{v!r} is not a vertex of this graph")
-    iadj = g.int_adjacency()
-    dist = _int_bfs(iadj, g.vertices.index(v))
-    if min(dist) < 0:
-        return INFINITE
-    return max(dist)
+    dist = hop_counts(g, v)
+    return INFINITE if min(dist) < 0 else max(dist)
 
 
 def is_connected(g: MeshGraph) -> bool:
-    if len(g.vertices) <= 1:
-        return True
-    dist = _int_bfs(g.int_adjacency(), 0)
-    return min(dist) >= 0
+    return not g.vertices or min(_int_bfs(g._iadj, 0)) >= 0
 
 
 def diameter(g: MeshGraph):
@@ -276,9 +265,7 @@ def diameter(g: MeshGraph):
     n = len(g.vertices)
     if n == 0:
         raise ValueError("diameter of an empty graph is undefined")
-    if n == 1:
-        return 0
-    iadj = g.int_adjacency()
+    iadj = g._iadj
     dist0 = _int_bfs(iadj, 0)
     if min(dist0) < 0:
         return INFINITE
@@ -287,12 +274,7 @@ def diameter(g: MeshGraph):
         # argument gives the exact diameter.
         far = max(range(n), key=dist0.__getitem__)
         return max(_int_bfs(iadj, far))
-    best = 0
-    for s in range(n):
-        m = max(_int_bfs(iadj, s))
-        if m > best:
-            best = m
-    return best
+    return max(max(_int_bfs(iadj, s)) for s in range(n))
 
 
 def _centers(odd: bool, k: int) -> tuple:
@@ -349,7 +331,7 @@ def mesh_to_obj(g: MeshGraph, centers=(), family: str = "", p: int = 0) -> dict:
     Key order is fixed so the JSON text is canonical: parity, k,
     coord_scale, vertices, edges, centers, family, p.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g._index
     return {
         "parity": g.parity.value,
         "k": g.k,

@@ -11,6 +11,7 @@ sizes of built graphs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass
@@ -34,9 +35,9 @@ from .lattice_core import (
     LatticeParity,
     MeshGraph,
     _int_at_least,
-    _int_bfs,
     _l1,
     diameter,
+    hop_counts,
     max_degree,
 )
 
@@ -80,7 +81,7 @@ def _verdict(name: str, ok: bool, witness: str) -> ConditionCheck:
 def _mesh_edge_check(g: MeshGraph) -> ConditionCheck:
     # Re-verify each edge independently of the constructor.
     for a, b in g.edges:
-        if a not in g._vset or b not in g._vset or _l1(a, b) != 2:
+        if not (g.has_vertex(a) and g.has_vertex(b)) or _l1(a, b) != 2:
             return ConditionCheck("mesh-edges", False, f"{a!r} -- {b!r}")
     return ConditionCheck("mesh-edges", True)
 
@@ -94,7 +95,7 @@ def _degree_check(g: MeshGraph, cap_of, exact: bool = False) -> ConditionCheck:
         cap = cap_of(v)
         if cap is None:
             continue
-        d = len(g._adj[v])
+        d = g.degree(v)
         if d > cap or (exact and d != cap):
             return ConditionCheck(
                 "degree-bound", False,
@@ -143,7 +144,7 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     checks = [_mesh_edge_check(g)]
     n = len(g.vertices)
 
-    center_dists = [_int_bfs(g.int_adjacency(), g.vertices.index(c)) for c in cg.centers]
+    center_dists = [hop_counts(g, c) for c in cg.centers]
     connected = all(min(d) >= 0 for d in center_dists) if n > 1 else True
     eccs = tuple(max(d) if min(d) >= 0 else INFINITE for d in center_dists)
 
@@ -220,7 +221,7 @@ def _center_reach_even(cg, center_dists, p):
 
 def _center_degree_check(cg, exact):
     for c in cg.centers:
-        d = len(cg.graph._adj[c])
+        d = cg.graph.degree(c)
         if d > 2 or (exact and d != 2):
             return ConditionCheck("center-degree", False, f"center {c!r} has degree {d}")
     return ConditionCheck("center-degree", True)
@@ -230,7 +231,7 @@ def _center_separation_check(cg, center_dists, p):
     # In high dimension the two centers drift farther apart than p+1,
     # so they are exempt from the reach condition; the diameter target
     # 2p+1 only needs them within 2p+1 hops of each other.
-    sep = center_dists[0][cg.graph.vertices.index(cg.centers[1])]
+    sep = center_dists[0][cg.graph.index(cg.centers[1])]
     return _verdict("center-separation", 0 <= sep <= 2 * p + 1,
                     f"centers {'inf' if sep < 0 else sep} apart, limit {2 * p + 1}")
 
@@ -287,24 +288,22 @@ CSV_HEADER = "parity,k,delta,p,construction,ball_lower,ball_upper,two_term_value
 class ComparisonRow:
     """One (parity, k, delta, p) cell of the bound comparison table.
 
-    ``construction`` is the size of the best admissible construction,
-    taken from ``family_size``: the edge at degree 1 (the single vertex
-    on the even lattice at p = 0), the cycle at degree 2, the larger of
-    g3 and the cycle at degree 3.  From degree 4 up it is the larger of
-    the enlarged stacked family and the radius-p ball of the
-    floor(delta/2)-dimensional sub-mesh, whose size is ``ball_lower``,
-    so it never falls below ``ball_lower``.  It is None when every
-    family of the row refused its preconditions; the first refusal text
-    lands in ``status``.  The upper ball
-    count is a conjectured ceiling, so a construction exceeding it is
-    only flagged in ``status``, never treated as an error.
+    ``construction`` is the size of the best admissible construction:
+    the larger of the radius-p ball of the floor(delta/2)-dimensional
+    sub-mesh, whose size is ``ball_lower``, and the row's families,
+    sized by ``family_size`` (the edge at degree 1, the cycle at degree
+    2, g3 and the cycle at degree 3, the enlarged stacked family from
+    degree 4 up).  Every row has one, and it never falls below
+    ``ball_lower``.  The upper ball count is a conjectured ceiling, so
+    a construction exceeding it is only flagged in ``status``, never
+    treated as an error.
     """
 
     parity: LatticeParity
     k: int
     delta: int
     p: int
-    construction: object
+    construction: int
     ball_lower: int
     ball_upper: int
     two_term_value: Fraction
@@ -317,7 +316,7 @@ class ComparisonRow:
 
 
 def _candidates(parity: LatticeParity, delta: int, p: int) -> tuple:
-    """Family codes admissible at (delta, p), in the order refusals are reported."""
+    """Family codes whose degree fits ``delta``; some refuse small p."""
     if delta == 1:
         # the edge's diameter 1 exceeds 2p on the even lattice at p = 0
         return ("edge",) if parity is LatticeParity.ODD or p > 0 else ()
@@ -331,25 +330,30 @@ def _candidates(parity: LatticeParity, delta: int, p: int) -> tuple:
 def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> ComparisonRow:
     """Set the best admissible construction against the ball bounds.
 
-    Degree 1 gets the single edge, degree 2 the rectangle perimeter,
-    degree 3 the larger of the degree-3 family and the perimeter, and
-    any degree from 4 up the larger of the enlarged stacked family of
-    the requested parity and the sub-mesh ball.  With j = floor(delta/2)
-    <= k, the radius-p ball of a j-dimensional sub-mesh, taken as an
-    induced subgraph, has degree at most 2j <= delta and diameter at
-    most 2p (even) or 2p+1 (odd, through the two centers), and holds
-    ``count_points(parity, j, p)`` vertices, which is the row's
-    ``ball_lower``.  On the even lattice at p = 0 the edge's diameter 1
-    exceeds 2p, so the degree-1 row reports the single vertex, which is
-    that ball.  Sizes come from ``family_size``; no graph is built.  The
+    The row reports the largest of the sub-mesh ball and the families
+    whose degree fits: the single edge at degree 1, the rectangle
+    perimeter at degree 2, the degree-3 family and the perimeter at
+    degree 3, and the enlarged stacked family of the requested parity
+    from degree 4 up.  With j = floor(delta/2) <= k, the radius-p ball
+    of a j-dimensional sub-mesh, taken as an induced subgraph, has
+    degree at most 2j <= delta and diameter at most 2p (even) or 2p+1
+    (odd, through the two centers), and holds ``count_points(parity,
+    j, p)`` vertices, which is the row's ``ball_lower``.  So every row
+    has a construction, even where every family refuses its
+    preconditions (degree 2 and 3 at p = 0).  On the even lattice at
+    p = 0 the edge's diameter 1 exceeds 2p, so the edge is left out
+    there.  Sizes come from ``family_size``; no graph is built.  The
     residual is taken from the reported size.
 
     Raises:
-        ValueError: delta outside [1, 2k] (a mesh vertex has only 2k
-            neighbours) or p < 0.  Family refusals do not raise; when
-            every family of the row refuses, the first refusal lands in
-            the row's status.
+        ValueError: parity not a LatticeParity, k < 1, delta outside
+            [1, 2k] (a mesh vertex has only 2k neighbours) or p < 0.
+            Family refusals do not raise.
     """
+    if not isinstance(parity, LatticeParity):
+        raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
+    if not _int_at_least(k, 1):
+        raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
     if not _int_at_least(delta, 1):
         raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
     if delta > 2 * k:
@@ -359,25 +363,13 @@ def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> Compari
     lower = formulas.count_points(parity, delta // 2, p)
     upper = formulas.count_points(parity, k, p)
     approx = formulas.two_term_value(parity, k, p)
-    families = _candidates(parity, delta, p)
-    # The sub-mesh ball counts from degree 4 up, and on the even degree-1
-    # row at p = 0, which has no admissible family.
-    sizes = [lower] if delta >= 4 or not families else []
-    refusals = []
-    for family in families:
-        try:
-            sizes.append(family_size(family, k, None if family == "edge" else p, parity))
-        except ValueError as exc:
-            refusals.append(exc)
-    size = max(sizes, default=None)
-    status = "ok" if sizes else f"skipped: {refusals[0]}"
-    residual = None
-    if size is not None:
-        scale = Fraction(p) ** (k - 2) if p > 0 else (Fraction(1) if k <= 2 else None)
-        if scale:
-            residual = (size - approx) / scale
-        if size > upper:
-            status = "ok (exceeds conjectured upper ball)"
+    size = lower
+    for family in _candidates(parity, delta, p):
+        with contextlib.suppress(ValueError):  # a refusal leaves the ball standing
+            size = max(size, family_size(family, k, None if family == "edge" else p, parity))
+    scale = Fraction(p) ** (k - 2) if p > 0 else (Fraction(1) if k <= 2 else None)
+    residual = (size - approx) / scale if scale else None
+    status = "ok (exceeds conjectured upper ball)" if size > upper else "ok"
     return ComparisonRow(
         parity=parity,
         k=k,
@@ -394,9 +386,6 @@ def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> Compari
 
 def sweep_table(parity: LatticeParity, k_values, delta: int, p_values) -> list:
     """Comparison rows for every (k, p) pair, ordered by k then p.
-
-    Rows whose families all refused their preconditions stay in the
-    table with the refusal in their status column.
 
     Raises:
         ValueError: an empty k or p range, or delta invalid for some k.
@@ -417,7 +406,7 @@ def _fmt_exact(value) -> str:
 def _row_cells(r: ComparisonRow) -> list:
     return [
         r.parity.value, str(r.k), str(r.delta), str(r.p),
-        "" if r.construction is None else str(r.construction),
+        str(r.construction),
         str(r.ball_lower), str(r.ball_upper),
         _fmt_exact(r.two_term_value), _fmt_exact(r.residual_norm),
         r.status,

@@ -56,13 +56,19 @@ def test_count_matches_enumeration_spot():
         assert count_points(parity, k, p) == len(ball_enumerate(spec))
 
 
-def test_enumerated_points_lie_in_ball():
-    spec = BallSpec(ODD, 3, 3)
-    limit = 2 * 3 + 1  # doubled radius, odd case center offset included
-    for pt in ball_enumerate(spec):
-        assert pt[0] % 2 == 1
-        assert all(c % 2 == 0 for c in pt[1:])
-        assert sum(abs(c) for c in pt) <= limit
+@pytest.mark.parametrize("parity", [EVEN, ODD], ids=["even", "odd"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumerated_points_lie_in_ball(parity, k):
+    odd = parity is ODD
+    for p in range(0, 6):
+        pts = ball_enumerate(BallSpec(parity, k, p))
+        limit = 2 * p + odd  # doubled radius, odd case center offset included
+        for pt in pts:
+            assert len(pt) == k
+            assert pt[0] % 2 == odd
+            assert all(c % 2 == 0 for c in pt[1:])
+            assert sum(abs(c) for c in pt) <= limit
+        assert len(pts) == count_points(parity, k, p)
 
 
 def test_enumeration_cap():

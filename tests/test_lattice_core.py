@@ -1,7 +1,9 @@
 """Graph container, metric, and serialization behavior."""
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -101,6 +103,18 @@ def test_graph_is_immutable():
     g = MeshGraph(EVEN, 1, [(0,)], [])
     with pytest.raises(AttributeError):
         g._adj = {}
+    with pytest.raises(AttributeError):
+        g.vertices = ()
+    assert g.vertices == ((0,),)
+
+
+def test_graph_survives_pickle_and_deepcopy():
+    g = build_family("oprime", 2, p=4).graph
+    for again in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert again == g
+        assert again.neighbors(g.vertices[3]) == g.neighbors(g.vertices[3])
+        with pytest.raises(AttributeError):
+            again.edges = ()
 
 
 def test_graph_structural_equality():
@@ -113,10 +127,26 @@ def test_graph_structural_equality():
 def test_neighbors_and_degree():
     g = MeshGraph(EVEN, 2, [(0, 0), (0, 2), (2, 0)],
                   [((0, 0), (0, 2)), ((0, 0), (2, 0))])
-    assert set(g.neighbors((0, 0))) == {(0, 2), (2, 0)}
+    assert g.neighbors((0, 0)) == ((0, 2), (2, 0))
     assert g.degree((0, 0)) == 2
     assert g.degree((0, 2)) == 1
     assert max_degree(g) == 2
+    # coordinate lists work as they do for has_vertex
+    assert g.neighbors([0, 0]) == ((0, 2), (2, 0))
+    assert g.degree([0, 2]) == 1
+    assert g.index([2, 0]) == 2
+    for call in (g.neighbors, g.degree, g.index):
+        with pytest.raises(ValueError):
+            call((4, 4))
+
+
+def test_neighbors_come_in_sorted_order():
+    g = build_family("eprime", 3, p=4).graph
+    for i, v in enumerate(g.vertices):
+        assert g.index(v) == i
+        ns = g.neighbors(v)
+        assert ns == tuple(sorted(ns))
+        assert all(v in g.neighbors(w) for w in ns)
 
 
 def test_bfs_distances_path():
@@ -232,6 +262,9 @@ MALFORMED = {
     "meshgraph-k-bool": lambda: MeshGraph(EVEN, True, [], []),
     "ballspec-k-bool": lambda: BallSpec(EVEN, True, 3),
     "compare_bounds-delta-bool": lambda: compare_bounds(EVEN, 2, True, 3),
+    "compare_bounds-k-float": lambda: compare_bounds(EVEN, 2.0, 2, 3),
+    "compare_bounds-k-str": lambda: compare_bounds(EVEN, "2", 2, 3),
+    "compare_bounds-parity-str": lambda: compare_bounds("even", 2, 2, 3),
     "family_size-k-bool": lambda: family_size("e", True, 3),
     "family_size-p-bool": lambda: family_size("e", 2, True),
     "result-optimum-str": lambda: result_from_json(_result_json(optimum="7")),

@@ -219,15 +219,21 @@ def test_compare_bounds_rejects_bad_degree():
         compare_bounds(EVEN, 2, 0, 4)
 
 
-def test_compare_bounds_inlines_builder_failures():
-    row = compare_bounds(EVEN, 3, 3, 0)  # g3 needs p >= 16, the cycle p >= 1
-    assert row.construction is None
-    assert row.status.startswith("skipped:")
+def test_radius_zero_rows_fall_back_to_the_sub_mesh_ball():
+    # g3 needs p >= 4^(k-1) and the cycle p >= 1; the radius-0 ball of
+    # the 1-dimensional sub-mesh still fits: one vertex, or the odd
+    # lattice's two centers joined by an edge
+    for parity, size in ((EVEN, 1), (ODD, 2)):
+        for k in (2, 3, 4):
+            for delta in (2, 3):
+                row = compare_bounds(parity, k, delta, 0)
+                assert row.construction == row.ball_lower == size, (parity, k, delta)
+                assert row.status == "ok"
 
 
 def test_degree_three_reports_the_larger_of_g3_and_cycle():
     # g3 refuses p < 4^(k-1) and loses to the 4p-cycle below p = 16 at
-    # k = 2; the row keeps g3's refusal text only when both refuse
+    # k = 2; where both refuse, the sub-mesh ball fills the row
     for parity, odd in ((EVEN, 0), (ODD, 1)):
         for k in (2, 3):
             for p in range(1, 40):
@@ -242,7 +248,7 @@ def test_degree_three_reports_the_larger_of_g3_and_cycle():
                 assert row.status == "ok"
     assert compare_bounds(EVEN, 2, 3, 32).construction == family_size("g3", 2, 32) == 255
     row = compare_bounds(ODD, 2, 3, 0)
-    assert row.status == "skipped: family g3 needs p >= 4^(k-1) = 4 at k = 2, got p = 0"
+    assert (row.construction, row.status) == (2, "ok")
 
 
 def test_even_degree_one_row_at_radius_zero_is_one_vertex():
@@ -261,7 +267,7 @@ def test_construction_rises_with_degree_and_stays_under_the_ball():
             for p in range(0, 41):
                 rows = [compare_bounds(parity, k, d, p) for d in range(1, 2 * k + 1)]
                 sizes = [r.construction for r in rows]
-                assert all(s is None or s <= r.ball_upper for s, r in zip(sizes, rows))
+                assert all(r.ball_lower <= s <= r.ball_upper for s, r in zip(sizes, rows))
                 if p >= 1:
                     assert sizes == sorted(sizes), (parity, k, p, sizes)
 
