@@ -50,7 +50,18 @@ def count_points(parity: LatticeParity, k: int, p: int) -> int:
     Accepts k = 0 as the degenerate case used by bound comparisons: the
     even ball collapses to the single center point, the odd ball to the
     two points astride the midpoint.
+
+    Raises:
+        ValueError: ``parity`` is not a ``LatticeParity`` (a string such
+            as ``"even"`` included), or ``k`` or ``p`` is not an int
+            >= 0 (floats and bools included).
     """
+    if not isinstance(parity, LatticeParity):
+        raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
+    if not _int_at_least(k, 0):
+        raise ValueError(f"dimension k must be an integer >= 0, got {k!r}")
+    if not _int_at_least(p, 0):
+        raise ValueError(f"radius parameter p must be an integer >= 0, got {p!r}")
     if k == 0:
         return 1 if parity is LatticeParity.EVEN else 2
     if parity is LatticeParity.EVEN:

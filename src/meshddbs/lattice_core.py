@@ -19,6 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import chain, repeat
+from operator import and_, or_, sub
 
 # Doubled coordinates: a point is a tuple of ints, true value times two.
 Point = tuple
@@ -59,10 +62,13 @@ def validate_point(coords, k: int, parity: LatticeParity) -> Point:
         The validated point as a tuple.
 
     Raises:
-        ValueError: wrong dimension, non-integer entries, or a doubled
-            pattern that does not match the lattice parity.
+        ValueError: not a sequence, wrong dimension, non-integer entries,
+            or a doubled pattern that does not match the lattice parity.
     """
-    pt = tuple(coords)
+    try:
+        pt = tuple(coords)
+    except TypeError:
+        raise ValueError(f"point {coords!r} is not a sequence of coordinates") from None
     if len(pt) != k:
         raise ValueError(f"point {pt!r} has dimension {len(pt)}, expected {k}")
     for c in pt:
@@ -79,8 +85,32 @@ def validate_point(coords, k: int, parity: LatticeParity) -> Point:
     return pt
 
 
+def _points_valid(pts: list, k: int, parity: LatticeParity) -> bool:
+    """True when every tuple in ``pts`` passes ``validate_point``.
+
+    One pass over all entries in C-level builtins: the dimensions, the
+    entry types (exact ``int``, so bools fail, checked before any
+    arithmetic or hashing), then the parity bits of the first axis and
+    of the others.  False can also mean an entry that ``validate_point``
+    accepts but this test does not, such as an ``int`` subclass; the
+    caller then runs ``validate_point`` on each point.
+    """
+    if not pts:
+        return True
+    if set(map(len, pts)) != {k}:
+        return False
+    cols = tuple(zip(*pts))
+    if set(map(type, chain.from_iterable(cols))) != {int}:
+        return False
+    if reduce(or_, chain.from_iterable(cols[1:]), 0) & 1:
+        return False
+    if parity is LatticeParity.EVEN:
+        return not reduce(or_, cols[0]) & 1
+    return bool(reduce(and_, cols[0]) & 1)
+
+
 def _l1(a: Point, b: Point) -> int:
-    return sum(abs(x - y) for x, y in zip(a, b))
+    return sum(map(abs, map(sub, a, b)))
 
 
 def l1_distance(a: Point, b: Point) -> int:
@@ -111,6 +141,43 @@ def point_label(pt: Point) -> str:
     return "(" + ",".join(true_coordinate(c) for c in pt) + ")"
 
 
+def _edge_codes(edges: list, index: dict, n: int) -> set:
+    """Codes ``i * n + j`` (i < j) of the edges' endpoint positions in ``index``.
+
+    The fast path answers only when every edge is a pair of vertices at
+    doubled distance 2.  Otherwise the edges are walked in input order
+    and the first bad one is named in a ValueError.
+    """
+    get = index.get
+    try:
+        if edges and set(map(len, edges)) == {2}:
+            ends_a, ends_b = zip(*edges)
+            ia = list(map(get, ends_a))
+            ib = list(map(get, ends_b))
+            if None not in ia and None not in ib and set(map(_l1, ends_a, ends_b)) == {2}:
+                return {i * n + j if i < j else j * n + i for i, j in zip(ia, ib)}
+    except TypeError:
+        pass  # an unsized edge or an unhashable endpoint: the walk names it
+    codes = set()
+    for e in edges:
+        try:
+            a, b = map(tuple, e)
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} is not a pair of points") from None
+        try:
+            i, j = get(a), get(b)
+        except TypeError:  # an unhashable endpoint is no vertex
+            i = j = None
+        if i is None or j is None:
+            raise ValueError(f"edge {a!r} -- {b!r} has an endpoint outside the vertex set")
+        if _l1(a, b) != 2:
+            raise ValueError(
+                f"edge {a!r} -- {b!r} is not a mesh edge (doubled distance {_l1(a, b)})"
+            )
+        codes.add(i * n + j if i < j else j * n + i)
+    return codes
+
+
 class MeshGraph:
     """Immutable graph whose vertices sit on one mesh lattice.
 
@@ -120,10 +187,15 @@ class MeshGraph:
     stored vertices at doubled distance exactly 2.
 
     The graph keeps one vertex index (point to position in ``vertices``)
-    and one adjacency over positions.  Each adjacency row is ascending,
-    because the sorted edge list lists a vertex's lower neighbours
-    before its higher ones, so ``neighbors`` returns sorted points.
-    Only this module reads the stored index and adjacency.
+    and one adjacency over positions.  Positions follow the
+    lexicographic vertex order, so an edge between positions i < j
+    sorts as the integer code ``i * n + j`` exactly as its point pair
+    sorts: the constructor validates all vertices in one pass, sorts the
+    edges as codes and builds ``edges`` and the adjacency from the sorted
+    codes.  Each adjacency row is therefore ascending (a vertex's lower
+    neighbours come first, from the codes below its own row), so
+    ``neighbors`` returns sorted points.  Only this module reads the
+    stored index and adjacency.
     """
 
     __slots__ = ("parity", "k", "vertices", "edges", "_index", "_iadj")
@@ -133,24 +205,25 @@ class MeshGraph:
             raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
         if not _int_at_least(k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
-        vts = tuple(sorted({validate_point(v, k, parity) for v in vertices}))
-        index = {v: i for i, v in enumerate(vts)}
-        canon = set()
-        for e in edges:
-            a, b = map(tuple, e)
-            if a not in index or b not in index:
-                raise ValueError(f"edge {a!r} -- {b!r} has an endpoint outside the vertex set")
-            if _l1(a, b) != 2:
-                raise ValueError(
-                    f"edge {a!r} -- {b!r} is not a mesh edge (doubled distance {_l1(a, b)})"
-                )
-            canon.add((a, b) if a < b else (b, a))
-        canon = tuple(sorted(canon))
+        vertices = list(vertices)
+        try:
+            pts = list(map(tuple, vertices))
+        except TypeError:  # a vertex that is no sequence; validate_point names it
+            pts = None
+        if pts is None or not _points_valid(pts, k, parity):
+            pts = [validate_point(v, k, parity) for v in vertices]
+        vts = tuple(sorted(set(pts)))
+        n = len(vts)
+        index = dict(zip(vts, range(n)))
+        codes = sorted(_edge_codes(list(edges), index, n))
+        lo = [c // n for c in codes]
+        hi = [c % n for c in codes]
         iadj = [[] for _ in vts]
-        for a, b in canon:
-            ia, ib = index[a], index[b]
-            iadj[ia].append(ib)
-            iadj[ib].append(ia)
+        for i, j in zip(lo, hi):
+            iadj[i].append(j)
+            iadj[j].append(i)
+        at = vts.__getitem__
+        canon = tuple(zip(map(at, lo), map(at, hi)))
         self.parity = parity
         self.k = k
         self.vertices = vts
@@ -331,17 +404,31 @@ def mesh_to_obj(g: MeshGraph, centers=(), family: str = "", p: int = 0) -> dict:
     Key order is fixed so the JSON text is canonical: parity, k,
     coord_scale, vertices, edges, centers, family, p.
     """
-    index = g._index
     return {
         "parity": g.parity.value,
         "k": g.k,
         "coord_scale": COORD_SCALE,
-        "vertices": [list(v) for v in g.vertices],
-        "edges": [[index[a], index[b]] for a, b in g.edges],
-        "centers": sorted(index[tuple(c)] for c in centers),
+        "vertices": list(map(list, g.vertices)),
+        "edges": [[i, j] for i, row in enumerate(g._iadj) for j in row if j > i],
+        "centers": sorted(map(g.index, centers)),
         "family": family,
         "p": p,
     }
+
+
+def _index_pairs_valid(pairs: list, n: int) -> bool:
+    """True when every entry of ``pairs`` is a list of two exact ints in [0, n).
+
+    False can also mean an index that ``_int_at_least`` accepts but this
+    test does not, such as an ``int`` subclass; the caller then checks
+    each pair.
+    """
+    if not pairs:
+        return True
+    if not all(map(isinstance, pairs, repeat(list))) or set(map(len, pairs)) != {2}:
+        return False
+    flat = list(chain.from_iterable(pairs))
+    return set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n
 
 
 def mesh_from_obj(obj: dict):
@@ -364,19 +451,21 @@ def mesh_from_obj(obj: dict):
         raise ValueError(f"unknown parity {obj['parity']!r}") from None
     k = obj["k"]
     raw = obj["vertices"]
-    if not isinstance(raw, list) or not all(isinstance(v, list) for v in raw):
+    if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(list))):
         raise ValueError("field vertices must be a list of coordinate lists")
-    verts = [tuple(v) for v in raw]
+    verts = list(map(tuple, raw))
     n = len(verts)
-    if not isinstance(obj["edges"], list):
+    pairs = obj["edges"]
+    if not isinstance(pairs, list):
         raise ValueError("field edges must be a list of index pairs")
-    edges = []
-    for pair in obj["edges"]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"edge {pair!r} is not an index pair")
-        if not all(_int_at_least(i, 0) and i < n for i in pair):
-            raise ValueError(f"edge index pair {pair!r} is out of range")
-        edges.append((verts[pair[0]], verts[pair[1]]))
+    if not _index_pairs_valid(pairs, n):
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"edge {pair!r} is not an index pair")
+            if not all(_int_at_least(i, 0) and i < n for i in pair):
+                raise ValueError(f"edge index pair {pair!r} is out of range")
+    ends = list(map(verts.__getitem__, chain.from_iterable(pairs)))
+    edges = list(zip(ends[::2], ends[1::2]))
     g = MeshGraph(parity, k, verts, edges)
     if not isinstance(obj["centers"], list):
         raise ValueError("field centers must be a list of vertex indices")

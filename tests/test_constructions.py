@@ -217,6 +217,31 @@ def test_stacked_builders_byte_exact(family):
     assert h.hexdigest() == STACKED_DIGESTS[family]
 
 
+# The same pin for the other three families, with digests recorded
+# before MeshGraph and the JSON codec moved to bulk checks, so that any
+# byte change in their output shows; the cycle runs over both parities.
+OTHER_GRID = {
+    "g3": ((1, range(1, 17)), (2, range(4, 41)), (3, range(16, 33))),
+    "cycle": ((2, range(1, 13)), (3, range(1, 9)), (4, range(1, 5))),
+    "edge": ((1, (None,)), (2, (None,)), (3, (None,)), (4, (None,))),
+}
+OTHER_DIGESTS = {
+    "g3": "96e39d5f45088cebfe722b64721e3f404700568826cc473f5ea865a8d4a98ba4",
+    "cycle": "914d837d840e2c7d13350e30c33d906f0d3fe940512879957f329c8fcd0390c7",
+    "edge": "895f91207d8bebfa7a35cb410d3aa93f5f195d57c3b68dc4f6bacff8ac2e893b",
+}
+
+
+@pytest.mark.parametrize("family", sorted(OTHER_DIGESTS))
+def test_other_builders_byte_exact(family):
+    h = hashlib.sha256()
+    for k, ps in OTHER_GRID[family]:
+        for p in ps:
+            for parity in (EVEN, ODD) if family == "cycle" else (None,):
+                h.update((graph_to_json(build_family(family, k, p, parity)) + "\n").encode())
+    assert h.hexdigest() == OTHER_DIGESTS[family]
+
+
 SIZE_GRID = {
     "e": ((1, range(21)), (2, range(31)), (3, range(16)), (4, range(11))),
     "g3": ((1, range(1, 21)), (2, range(4, 71)), (3, range(16, 61))),

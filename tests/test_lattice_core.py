@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from meshddbs import (
     bfs_distances,
     build_family,
     compare_bounds,
+    count_points,
     diameter,
     eccentricity,
     family_size,
@@ -92,6 +94,17 @@ def test_graph_rejects_non_mesh_edge():
 def test_graph_rejects_dangling_edge():
     with pytest.raises(ValueError):
         MeshGraph(EVEN, 2, [(0, 0)], [((0, 0), (0, 2))])
+
+
+@pytest.mark.parametrize("vertices, edges, named", [
+    ([5], [], "point 5 is not"),
+    ([(0,), (2,)], [5], "edge 5 is not"),
+    ([(0,), (2,)], [(([0],), (2,))], "edge ([0],) -- (2,) has an endpoint outside"),
+    ([(0,), (2,)], [((0,), (2,), (4,))], "edge ((0,), (2,), (4,)) is not a pair"),
+])
+def test_malformed_entry_is_named(vertices, edges, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MeshGraph(EVEN, 1, vertices, edges)
 
 
 def test_graph_rejects_off_parity_vertex():
@@ -236,6 +249,10 @@ def _graph_json(**fields):
     return json.dumps(obj)
 
 
+#: Vertex count of the graph behind ``_graph_json``: the first index out of range.
+GRAPH_N = len(build_family("e", 2, p=3).graph.vertices)
+
+
 def _result_json(**fields):
     obj = json.loads(result_to_json(solve_exact(SolveRequest(k=2, delta=2, diameter=2))))
     obj.update(fields)
@@ -259,7 +276,26 @@ MALFORMED = {
     "request-max_nodes-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, max_nodes=True),
     "request-region_cap-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, region_cap=True),
     "request-max_seconds-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, max_seconds=True),
+    "graph-edges-triple": lambda: graph_from_json(_graph_json(edges=[[0, 1, 2]])),
+    "graph-edges-bool": lambda: graph_from_json(_graph_json(edges=[[0, True]])),
+    "graph-edges-negative": lambda: graph_from_json(_graph_json(edges=[[-1, 0]])),
+    "graph-edges-index-n": lambda: graph_from_json(_graph_json(edges=[[0, GRAPH_N]])),
+    "graph-vertices-bool-entry": lambda: graph_from_json(
+        _graph_json(vertices=[[0, 0], [0, False]], edges=[])
+    ),
+    "graph-vertices-nested": lambda: graph_from_json(
+        _graph_json(vertices=[[0, 0], [0, [0]]], edges=[])
+    ),
     "meshgraph-k-bool": lambda: MeshGraph(EVEN, True, [], []),
+    "meshgraph-vertex-int": lambda: MeshGraph(EVEN, 2, [5], []),
+    "meshgraph-edge-int": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [5]),
+    "meshgraph-edge-unhashable": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [(([0],), (2,))]),
+    "meshgraph-edge-triple": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [((0,), (2,), (4,))]),
+    "count_points-k-negative": lambda: count_points(EVEN, -1, 3),
+    "count_points-k-float": lambda: count_points(EVEN, 2.5, 3),
+    "count_points-k-bool": lambda: count_points(EVEN, True, 3),
+    "count_points-p-negative": lambda: count_points(EVEN, 2, -3),
+    "count_points-parity-str": lambda: count_points("even", 2, 3),
     "ballspec-k-bool": lambda: BallSpec(EVEN, True, 3),
     "compare_bounds-delta-bool": lambda: compare_bounds(EVEN, 2, True, 3),
     "compare_bounds-k-float": lambda: compare_bounds(EVEN, 2.0, 2, 3),

@@ -1,7 +1,10 @@
 """Property-based invariants over randomized inputs."""
 
 import json
+import re
+from enum import IntEnum
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +18,10 @@ from meshddbs import (
     graph_to_json,
     l1_distance,
     solve_exact,
+    validate_point,
     verify_witness,
 )
+from meshddbs.lattice_core import MeshGraph, _points_valid
 from meshddbs.formulas import BallSpec, ball_enumerate
 from meshddbs.solver import (
     _reach,
@@ -106,6 +111,115 @@ def test_solver_monotone_in_degree(delta, diameter):
     lo = solve_exact(SolveRequest(k=2, delta=delta, diameter=diameter))
     hi = solve_exact(SolveRequest(k=2, delta=delta + 1, diameter=diameter))
     assert lo.optimum <= hi.optimum
+
+
+def _orient_and_wrap(data, pairs, wrap):
+    """Each pair in random orientation; with ``wrap``, some points as lists."""
+    out = []
+    for a, b in pairs:
+        if data.draw(st.booleans()):
+            a, b = b, a
+        out.append(tuple(list(x) if wrap and data.draw(st.booleans()) else x for x in (a, b)))
+    return out
+
+
+MUTATIONS = ["bool", "off-parity", "dimension", "non-mesh", "dangling"]
+
+
+@given(parities, st.integers(1, 3), st.integers(0, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_canonicalisation_matches_naive_reference(parity, k, p, data):
+    ball = sorted(ball_enumerate(BallSpec(parity, k, p)))
+    pts = data.draw(st.lists(st.sampled_from(ball), min_size=1, max_size=24))
+    pts += data.draw(st.lists(st.sampled_from(pts), max_size=6))  # duplicates
+    pts = data.draw(st.permutations(pts))
+    vset = sorted(set(pts))
+    mesh = [(a, b) for a in vset for b in vset if a < b and l1_distance(a, b) == 2]
+    chosen = data.draw(st.lists(st.sampled_from(mesh), max_size=30)) if mesh else []
+    # List endpoints take the edge walk, tuple endpoints the bulk path.
+    wrap = data.draw(st.booleans())
+    edges = _orient_and_wrap(data, chosen + chosen[:data.draw(st.integers(0, 3))], wrap)
+    verts = [list(v) if data.draw(st.booleans()) else v for v in pts]
+
+    # Naive reference: the sorted set of points, the sorted set of ordered pairs.
+    want_edges = sorted({(min(a, b), max(a, b)) for a, b in chosen})
+    g = MeshGraph(parity, k, verts, edges)
+    assert g.vertices == tuple(vset)
+    assert g.edges == tuple(want_edges)
+    for i, v in enumerate(vset):
+        assert g.index(list(v)) == i
+        near = {b for a, b in want_edges if a == v} | {a for a, b in want_edges if b == v}
+        assert g.neighbors(v) == tuple(sorted(near))
+
+    # One mutation; the error text is validate_point's or the edge check's.
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    v = list(data.draw(st.sampled_from(vset)))
+    axis = data.draw(st.integers(0, k - 1))
+    if kind in ("bool", "off-parity", "dimension"):
+        if kind == "bool":
+            v[axis] = data.draw(st.booleans())
+        elif kind == "off-parity":
+            v[axis] += 1
+        else:
+            v = v + [0] if data.draw(st.booleans()) else v[1:]
+        with pytest.raises(ValueError) as point_error:
+            validate_point(v, k, parity)
+        text = str(point_error.value)
+        verts.insert(data.draw(st.integers(0, len(verts))), v)
+    else:
+        a = tuple(v)
+        if kind == "non-mesh":
+            b = data.draw(st.sampled_from([w for w in vset if l1_distance(a, w) != 2]))
+        else:
+            b = a[:axis] + (a[axis] + 200,) + a[axis + 1:]
+        edge = _orient_and_wrap(data, [(a, b)], wrap)[0]
+        a, b = map(tuple, edge)
+        if kind == "non-mesh":
+            text = f"edge {a!r} -- {b!r} is not a mesh edge (doubled distance {l1_distance(a, b)})"
+        else:
+            text = f"edge {a!r} -- {b!r} has an endpoint outside the vertex set"
+        edges.insert(data.draw(st.integers(0, len(edges))), edge)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        MeshGraph(parity, k, verts, edges)
+
+
+# Point entries that validate_point accepts or refuses, nested lists included.
+entries = st.one_of(st.integers(-6, 6), st.booleans(), st.none(), st.floats(-4, 4),
+                    st.lists(st.integers(0, 2), max_size=1))
+
+
+@given(parities, st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_point_test_agrees_with_validate_point(parity, k, data):
+    first = st.integers(-4, 4).map(lambda c: 2 * c + (parity is ODD))
+    rest = st.integers(-4, 4).map(lambda c: 2 * c)
+    good = st.tuples(first, *[rest] * (k - 1))
+    bad = st.lists(entries, min_size=max(k - 1, 0), max_size=k + 1).map(tuple)
+    pts = data.draw(st.lists(st.one_of(good, good, bad), max_size=8))
+
+    def valid(pt):
+        try:
+            validate_point(pt, k, parity)
+        except ValueError:
+            return False
+        return True
+
+    assert _points_valid(pts, k, parity) == all(map(valid, pts))
+
+
+class Axis(IntEnum):
+    ZERO = 0
+    TWO = 2
+
+
+def test_int_subclass_entries_take_the_point_by_point_path():
+    # validate_point accepts int subclasses; the bulk test does not, so
+    # MeshGraph falls back to validate_point, which accepts them.
+    pts = [(Axis.ZERO, 0), (Axis.TWO, 0)]
+    assert not _points_valid(pts, 2, EVEN)
+    g = MeshGraph(EVEN, 2, pts, [tuple(pts)])
+    assert g.vertices == ((0, 0), (2, 0))
+    assert g.degree((0, 0)) == 1
 
 
 # Valid JSON texts and their parsers; the fuzz test below mutates them.
