@@ -141,6 +141,15 @@ def point_label(pt: Point) -> str:
     return "(" + ",".join(true_coordinate(c) for c in pt) + ")"
 
 
+def _field_list(items, field: str) -> list:
+    """``list(items)``, or ValueError naming ``field`` when it is not iterable."""
+    try:
+        it = iter(items)
+    except TypeError:
+        raise ValueError(f"field {field} must be iterable, got {items!r}") from None
+    return list(it)
+
+
 def _edge_codes(edges: list, index: dict, n: int) -> set:
     """Codes ``i * n + j`` (i < j) of the edges' endpoint positions in ``index``.
 
@@ -205,7 +214,7 @@ class MeshGraph:
             raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
         if not _int_at_least(k, 1):
             raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
-        vertices = list(vertices)
+        vertices = _field_list(vertices, "vertices")
         try:
             pts = list(map(tuple, vertices))
         except TypeError:  # a vertex that is no sequence; validate_point names it
@@ -215,7 +224,7 @@ class MeshGraph:
         vts = tuple(sorted(set(pts)))
         n = len(vts)
         index = dict(zip(vts, range(n)))
-        codes = sorted(_edge_codes(list(edges), index, n))
+        codes = sorted(_edge_codes(_field_list(edges, "edges"), index, n))
         lo = [c // n for c in codes]
         hi = [c % n for c in codes]
         iadj = [[] for _ in vts]

@@ -16,24 +16,34 @@ that ball and loses no solutions.
 The search is target descending: candidate sizes n are tried from an
 upper bound downward, so the first feasible size is the optimum.  The
 upper bound is the bipartite Moore bound (every mesh subgraph is
-bipartite).  Within one size, vertex sets are explored in lexicographic
-order with include-first branching, so the first witness found is the
-lexicographically smallest one in the canonical frame.
+bipartite).  Feasibility is not monotone in n, which is why targets
+descend: at k=2, delta=2, D=3 the 6-cycle fits, but no 5 vertices do
+(the only candidate is the 5-vertex path, of diameter 4), so refuting a
+size proves nothing about the sizes above it.  Within one size, vertex
+sets are explored in lexicographic order with include-first branching,
+so the first witness found is the lexicographically smallest one in the
+canonical frame.
 
 Incremental distance checks.  Each search node asks whether every
 chosen vertex still reaches every other within the bound, using only
 chosen-or-candidate vertices (the allowed set); the leaf and each
-degree-shedding step ask the same inside the chosen set.  Three facts
-let most of these BFS runs be skipped without changing any answer.
-Distance is symmetric, so the sources ``chosen[:-1]`` cover every pair.
-Allowed sets only shrink from a node to its children, and a BFS inside
-a smaller allowed set that still contains the old reach finds exactly
-that reach again: every shortest path it used stays inside the reach.
-So a node reuses its parent's reach of a source unless a vertex of it
-just left the allowed set.  When shedding drops an edge, its endpoints
-lie on adjacent BFS layers of every source, because mesh subgraphs are
-bipartite; if the farther endpoint keeps a neighbour on the nearer
-layer, no distance from that source changes and its layers are kept.
+degree-shedding step ask the same inside the chosen set.  Four facts
+let most of these BFS runs be skipped or shortened without changing any
+answer.  Distance is symmetric, so the sources ``chosen[:-1]`` cover
+every pair.  Allowed sets only shrink from a node to its children, and
+a BFS inside a smaller allowed set that still contains the old reach
+finds exactly that reach and those layers again: every shortest path it
+used stays inside the reach.  So a node reuses its parent's reach and
+BFS layers of a source unless a vertex of it just left the allowed set.
+When exactly one vertex x leaves, as on the exclude branch, only the
+vertices on the layer after x's that are adjacent to x can lose their
+BFS parent; if each keeps another neighbour on x's layer, the layers
+stand with x removed, and otherwise the BFS is re-run.  When shedding
+drops an edge, its endpoints lie on adjacent BFS layers of every
+source, because mesh subgraphs are bipartite; if the farther endpoint
+keeps a neighbour on the nearer layer, no distance from that source
+changes and its layers are kept.  Shedding starts from the layers the
+leaf check found inside the chosen set, which is the graph it sheds.
 Node counts, optima and witnesses are therefore those of a full
 recheck at every step.
 """
@@ -187,6 +197,35 @@ def _reach(adj, src_bit, allowed, hops):
     return reach, layers
 
 
+def _drop_vertex(adj, carried, x):
+    """``carried = (reach, layers)`` without the vertex bit ``x``, or None.
+
+    None means a distance grows.  If ``x`` sits on layer i, only vertices
+    on layer i+1 can lose their BFS parent, and only those adjacent to
+    ``x``; when each keeps another neighbour on layer i, every other
+    distance stands.  A last layer left empty is dropped, so the result
+    equals a fresh BFS's.
+    """
+    reach, layers = carried
+    i = 0
+    while not layers[i] & x:
+        i += 1
+    rest = layers[i] ^ x
+    if i + 1 < len(layers):
+        m = adj[x.bit_length() - 1] & layers[i + 1]
+        while m:
+            b = m & -m
+            if not adj[b.bit_length() - 1] & rest:
+                return None
+            m ^= b
+    layers = layers.copy()
+    if rest:
+        layers[i] = rest
+    else:
+        del layers[i]
+    return reach ^ x, layers
+
+
 class _Search:
     """Fixed-size subset search over the canonical half ball."""
 
@@ -227,25 +266,36 @@ class _Search:
         return self._rec(chosen, smask, rest, reaches)
 
     def _reaches(self, chosen, allowed, smask, carried):
-        """Reaches of ``chosen[:-1]`` inside ``allowed``, or None if one misses ``smask``.
+        """``(reach, layers)`` of each of ``chosen[:-1]`` inside ``allowed``.
 
-        ``carried[i]`` is the reach of ``chosen[i]`` inside an allowed set
-        that contains ``allowed``; it is kept when it lies inside
-        ``allowed``.  The last chosen vertex needs no BFS of its own:
-        distance is symmetric, so the other sources cover its pairs.
+        Returns None as soon as one reach misses ``smask``.
+
+        ``carried[i]`` is the ``(reach, layers)`` of ``chosen[i]`` inside an
+        allowed set that contains ``allowed``.  It is kept when its reach
+        lies inside ``allowed``, repaired by ``_drop_vertex`` when one of
+        its vertices left, and recomputed otherwise.  The last chosen
+        vertex needs no BFS of its own: distance is symmetric, so the
+        other sources cover its pairs.
         """
         out = []
         for i in range(len(chosen) - 1):
-            r = carried[i] if i < len(carried) else None
-            if r is None or r & ~allowed:
-                r = _reach(self.adj, 1 << chosen[i], allowed, self.bound)[0]
-            if smask & ~r:
+            c = carried[i] if i < len(carried) else None
+            if c is not None:
+                gone = c[0] & ~allowed
+                if gone:
+                    c = None if gone & (gone - 1) else _drop_vertex(self.adj, c, gone)
+            if c is None:
+                c = _reach(self.adj, 1 << chosen[i], allowed, self.bound)
+            if smask & ~c[0]:
                 return None
-            out.append(r)
+            out.append(c)
         return out
 
     def _leaf(self, chosen, smask, reaches):
-        if self._reaches(chosen, smask, smask, reaches) is None:
+        # Inside smask the mesh graph is rows below, so these layers are
+        # also the shedding's starting layers.
+        reaches = self._reaches(chosen, smask, smask, reaches)
+        if reaches is None:
             # Removing edges only disconnects or stretches distances, so
             # no edge subset of this induced graph can help.
             return None
@@ -255,7 +305,7 @@ class _Search:
         if max(rows[v].bit_count() for v in chosen) > self.delta:
             if self.mode == "induced":
                 return None
-            rows = self._shed_degrees(rows, chosen, smask)
+            rows = self._shed_degrees(rows, chosen, smask, [ls for _, ls in reaches])
             if rows is None:
                 return None
         edges = []
@@ -267,8 +317,10 @@ class _Search:
                 m ^= b
         return chosen, edges
 
-    def _shed_degrees(self, rows, chosen, smask):
+    def _shed_degrees(self, rows, chosen, smask, layers):
         """Search edge subsets until every degree fits, distances allowing.
+
+        ``layers[i]`` holds the BFS layers of ``chosen[i]`` in ``rows``.
 
         Branches on the edges of the smallest over-degree vertex, its
         neighbours in increasing order: any feasible edge subset must
@@ -303,7 +355,7 @@ class _Search:
                         return found
             return None
 
-        return attempt(rows, [_reach(rows, 1 << v, smask, self.bound)[1] for v in sources])
+        return attempt(rows, layers)
 
     def _drop_layers(self, rows, sources, smask, layers, a, b):
         """BFS layers of each source once edge (a, b) is gone from ``rows``.

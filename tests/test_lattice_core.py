@@ -101,6 +101,8 @@ def test_graph_rejects_dangling_edge():
     ([(0,), (2,)], [5], "edge 5 is not"),
     ([(0,), (2,)], [(([0],), (2,))], "edge ([0],) -- (2,) has an endpoint outside"),
     ([(0,), (2,)], [((0,), (2,), (4,))], "edge ((0,), (2,), (4,)) is not a pair"),
+    (5, [], "field vertices must be iterable"),
+    ([(0,)], None, "field edges must be iterable"),
 ])
 def test_malformed_entry_is_named(vertices, edges, named):
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -289,6 +291,8 @@ MALFORMED = {
     "meshgraph-k-bool": lambda: MeshGraph(EVEN, True, [], []),
     "meshgraph-vertex-int": lambda: MeshGraph(EVEN, 2, [5], []),
     "meshgraph-edge-int": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [5]),
+    "meshgraph-vertices-int": lambda: MeshGraph(EVEN, 2, 5, []),
+    "meshgraph-edges-none": lambda: MeshGraph(EVEN, 2, [(0, 0)], None),
     "meshgraph-edge-unhashable": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [(([0],), (2,))]),
     "meshgraph-edge-triple": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [((0,), (2,), (4,))]),
     "count_points-k-negative": lambda: count_points(EVEN, -1, 3),

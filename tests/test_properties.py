@@ -276,7 +276,7 @@ REGIONS = [(2, 3), (2, 4), (3, 2), (3, 3)]
 
 
 @given(st.sampled_from(REGIONS), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_kept_search_reach_equals_fresh_reach(region, data):
     k, bound = region
     adj = _region(k, bound)[1]
@@ -284,17 +284,26 @@ def test_kept_search_reach_equals_fresh_reach(region, data):
     search = _Search(adj, None, 2 * k, bound, "exact", None)
     chosen = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=6)))
     smask = sum(1 << v for v in chosen)
-    wide = smask | data.draw(st.integers(0, (1 << n) - 1))
-    carried = [_reach(adj, 1 << v, wide, bound)[0]
-               for v in chosen[:data.draw(st.integers(0, len(chosen) - 1))]]
-    drop = data.draw(st.integers(0, (1 << n) - 1)) & ~smask
-    if data.draw(st.booleans()):
+    # uniform bits: each region vertex is allowed, then dropped, with odds 1/2
+    bits = data.draw(st.randoms(use_true_random=True)).getrandbits
+    wide = smask | bits(n)
+    # most often every source but the last carries a reach
+    uncarried = data.draw(st.integers(1, len(chosen)))
+    carried = [_reach(adj, 1 << v, wide, bound) for v in chosen[:len(chosen) - uncarried]]
+    drop = bits(n) & ~smask
+    how = data.draw(st.sampled_from(["one", "one", "spare", "any"]))
+    if how == "one":
+        # a single vertex leaves, so carried reaches holding it are repaired
+        held = sum(r for r, _ in carried) & ~smask
+        pool = [v for v in range(n) if held >> v & 1]
+        drop = 1 << data.draw(st.sampled_from(pool)) if pool else 0
+    elif how == "spare":
         # spare every carried reach, so each one is kept
-        for r in carried:
+        for r, _ in carried:
             drop &= ~r
     narrow = wide & ~drop
-    fresh = [_reach(adj, 1 << v, narrow, bound)[0] for v in chosen[:-1]]
-    want = None if any(smask & ~r for r in fresh) else fresh
+    fresh = [_reach(adj, 1 << v, narrow, bound) for v in chosen[:-1]]
+    want = None if any(smask & ~r for r, _ in fresh) else fresh
     assert search._reaches(chosen, narrow, smask, carried) == want
 
 

@@ -6,6 +6,10 @@ from meshddbs import SolveRequest, SolveResult, solve_exact, verify_witness
 from meshddbs.lattice_core import mesh_to_obj
 from meshddbs.solver import (
     DEFAULT_REGION_CAP,
+    _Budget,
+    _reach,
+    _region,
+    _Search,
     request_from_json,
     request_to_json,
     result_from_json,
@@ -64,6 +68,20 @@ def test_witness_drops_edges_when_degree_binds():
     assert res.optimum == 8
     assert max(len([e for e in res.witness.edges if v in e])
                for v in res.witness.vertices) == 2
+
+
+def test_feasibility_is_not_monotone_in_size():
+    # The 6-cycle fits degree 2 and diameter 3, but the only connected
+    # 5-vertex graph of degree <= 2 in the bipartite mesh is the path of
+    # diameter 4.  Refuting 5 says nothing about 6, so targets descend.
+    adj = _region(2, 3)[1]
+    every = (1 << len(adj)) - 1
+    compat = [_reach(adj, 1 << i, every, 3)[0] & ~(1 << i) for i in range(len(adj))]
+    search = _Search(adj, compat, 2, 3, "exact", _Budget(None, None))
+    assert search.run(5) is None
+    chosen, edges = search.run(6)
+    assert (len(chosen), len(edges)) == (6, 6)
+    assert solve_exact(SolveRequest(k=2, delta=2, diameter=3)).optimum == 6
 
 
 def test_region_cap_guard():

@@ -1,5 +1,7 @@
 """Smoke tests for the scripts under tools/."""
 
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -9,6 +11,11 @@ from meshddbs import SolveRequest, solve_exact
 from meshddbs.solver import request_to_json, result_to_obj
 
 SOLVER_DIFF = Path(__file__).resolve().parent.parent / "tools" / "solver_diff.py"
+
+#: sha256 of the full default output of tools/solver_diff.py (134 lines),
+#: recorded before search nodes repaired carried BFS layers: every
+#: optimum, witness and node count of the fixed request list.
+SOLVER_DIFF_SHA256 = "e4b196c7f22e540cbe37410314775fb4041cf1bf516cc1602e95c961b8752505"
 
 
 def test_solver_diff_prints_one_canonical_line_per_request():
@@ -27,3 +34,11 @@ def test_solver_diff_prints_one_canonical_line_per_request():
         want = result_to_obj(solve_exact(req))
         del want["elapsed"]
         assert line == json.dumps(want, sort_keys=True, separators=(",", ":"))
+
+
+def test_solver_diff_output_is_pinned():
+    spec = importlib.util.spec_from_file_location("solver_diff", SOLVER_DIFF)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    text = "".join(tool.canonical_line(req) + "\n" for req in tool.fixed_requests())
+    assert hashlib.sha256(text.encode()).hexdigest() == SOLVER_DIFF_SHA256
