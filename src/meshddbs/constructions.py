@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice_core import (
+    FAMILY_CODES,
     CenteredGraph,
     LatticeParity,
     MeshGraph,
@@ -227,6 +228,23 @@ def _stack_size(odd: bool, enlarged: bool, k: int, p: int, memo: dict) -> int:
 # Degree-4 stacked families
 # ============================================================
 
+#: (odd, enlarged) flags of ``_stack`` per stacked family code.
+_STACKED_FLAGS = {
+    "e": (False, False),
+    "eprime": (False, True),
+    "o": (True, False),
+    "oprime": (True, True),
+}
+
+
+def _build_stacked(family: str, k: int, p: int) -> CenteredGraph:
+    """Build stacked family ``family`` (a key of ``_STACKED_FLAGS``)."""
+    BuildParams(k, p)
+    odd, enlarged = _STACKED_FLAGS[family]
+    graph = MeshGraph(ODD if odd else EVEN, k, *_stack(odd, enlarged, k, p, {}))
+    return CenteredGraph(graph, _centers(odd, k), p, family)
+
+
 def build_even_core(k: int, p: int) -> CenteredGraph:
     """Family ``e``: the degree-4 even-lattice tree of radius p.
 
@@ -234,9 +252,7 @@ def build_even_core(k: int, p: int) -> CenteredGraph:
     x_k = +-i for 1 <= i <= p-2.  A spine joins the copy centers through
     the origin, which is the only vertex of the central plane.
     """
-    BuildParams(k, p)
-    verts, edges = _stack(False, False, k, p, {})
-    return CenteredGraph(MeshGraph(EVEN, k, verts, edges), _centers(False, k), p, "e")
+    return _build_stacked("e", k, p)
 
 
 def build_even_extended(k: int, p: int) -> CenteredGraph:
@@ -246,9 +262,7 @@ def build_even_extended(k: int, p: int) -> CenteredGraph:
     innermost levels hold radius p-1 copies (enlarged on the minus side,
     core on the plus side), and the central plane gains pendants.
     """
-    BuildParams(k, p)
-    verts, edges = _stack(False, True, k, p, {})
-    return CenteredGraph(MeshGraph(EVEN, k, verts, edges), _centers(False, k), p, "eprime")
+    return _build_stacked("eprime", k, p)
 
 
 def build_odd_core(k: int, p: int) -> CenteredGraph:
@@ -258,16 +272,12 @@ def build_odd_core(k: int, p: int) -> CenteredGraph:
     x_k = +-i for 1 <= i <= p-2, threaded by the double spine.  Every
     vertex ends up within p of one center and within p+1 of the other.
     """
-    BuildParams(k, p)
-    verts, edges = _stack(True, False, k, p, {})
-    return CenteredGraph(MeshGraph(ODD, k, verts, edges), _centers(True, k), p, "o")
+    return _build_stacked("o", k, p)
 
 
 def build_odd_extended(k: int, p: int) -> CenteredGraph:
     """Family ``oprime``: the enlarged degree-4 odd-lattice family."""
-    BuildParams(k, p)
-    verts, edges = _stack(True, True, k, p, {})
-    return CenteredGraph(MeshGraph(ODD, k, verts, edges), _centers(True, k), p, "oprime")
+    return _build_stacked("oprime", k, p)
 
 
 # ============================================================
@@ -407,33 +417,15 @@ def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
 # Dispatch
 # ============================================================
 
-FAMILY_BUILDERS = {
-    "e": build_even_core,
-    "eprime": build_even_extended,
-    "o": build_odd_core,
-    "oprime": build_odd_extended,
-    "g3": build_degree_three,
-}
-
-
-#: (odd, enlarged) flags of ``_stack`` per stacked family code.
-_STACKED_FLAGS = {
-    "e": (False, False),
-    "eprime": (False, True),
-    "o": (True, False),
-    "oprime": (True, True),
-}
-
-
 def _family_args(family: str, p, parity):
     """Checks shared by ``build_family`` and ``family_size``; returns (p, parity)."""
     if family == "edge":
-        if p not in (None, 0):
+        if p is not None and not (_int_at_least(p, 0) and p == 0):
             raise ValueError(f"family edge has no radius parameter, got p = {p!r}")
         return 0, EVEN
     if p is None:
         raise ValueError(f"family {family!r} needs a radius parameter p")
-    if family != "cycle" and family not in FAMILY_BUILDERS:
+    if family not in FAMILY_CODES:
         raise ValueError(f"unknown family code {family!r}")
     return p, parity if parity is not None else EVEN
 
@@ -452,7 +444,9 @@ def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
         return build_edge(k)
     if family == "cycle":
         return build_cycle(k, p, parity)
-    return FAMILY_BUILDERS[family](k, p)
+    if family == "g3":
+        return build_degree_three(k, p)
+    return _build_stacked(family, k, p)
 
 
 def family_size(family: str, k: int, p=None, parity=None) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .lattice_core import LatticeParity, Point, _int_at_least
+from .lattice_core import LatticeParity, _int_at_least
 
 #: Refuse to materialise balls with more points than this by default.
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -116,8 +116,11 @@ def leading_terms(parity: LatticeParity, k: int) -> AsymptoticTerms:
     Odd lattice:  2^k / k! and 2^k / (k-1)!.
 
     Raises:
-        ValueError: k < 1.
+        ValueError: ``parity`` is not a ``LatticeParity`` or ``k`` is not
+            an int >= 1 (bools included).
     """
+    if not isinstance(parity, LatticeParity):
+        raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
     if not _int_at_least(k, 1):
         raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
     lead = Fraction(1 << k, factorial(k))
@@ -129,32 +132,12 @@ def leading_terms(parity: LatticeParity, k: int) -> AsymptoticTerms:
 
 
 def two_term_value(parity: LatticeParity, k: int, p: int) -> Fraction:
-    """The two-term approximation lead*p^k + second*p^(k-1), exact."""
+    """The two-term approximation lead*p^k + second*p^(k-1), exact.
+
+    Raises:
+        ValueError: as ``leading_terms``, or ``p`` is not an int >= 0.
+    """
     terms = leading_terms(parity, k)
+    if not _int_at_least(p, 0):
+        raise ValueError(f"radius parameter p must be an integer >= 0, got {p!r}")
     return terms.lead * p**k + terms.second * p ** (k - 1)
-
-
-BALL_CSV_HEADER = "parity,k,p,count,two_term_value,residual"
-
-
-def ball_rows(parity: LatticeParity, k: int, p_values) -> list:
-    """Rows (parity, k, p, count, two-term value, residual) for a sweep."""
-    ps = list(p_values)
-    if not ps:
-        raise ValueError("empty p range")
-    rows = []
-    for p in ps:
-        count = count_points(parity, k, p)
-        approx = two_term_value(parity, k, p)
-        rows.append((parity.value, k, p, count, approx, count - approx))
-    return rows
-
-
-def ball_rows_to_csv(rows) -> str:
-    """CSV text for ball_rows output, header included."""
-    lines = [BALL_CSV_HEADER]
-    for parity, k, p, count, approx, residual in rows:
-        lines.append(
-            f"{parity},{k},{p},{count},{float(approx)!r},{float(residual)!r}"
-        )
-    return "\n".join(lines) + "\n"

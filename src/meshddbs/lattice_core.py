@@ -153,20 +153,10 @@ def _field_list(items, field: str) -> list:
 def _edge_codes(edges: list, index: dict, n: int) -> set:
     """Codes ``i * n + j`` (i < j) of the edges' endpoint positions in ``index``.
 
-    The fast path answers only when every edge is a pair of vertices at
-    doubled distance 2.  Otherwise the edges are walked in input order
-    and the first bad one is named in a ValueError.
+    The edges are walked in input order and the first bad one is named
+    in a ValueError.
     """
     get = index.get
-    try:
-        if edges and set(map(len, edges)) == {2}:
-            ends_a, ends_b = zip(*edges)
-            ia = list(map(get, ends_a))
-            ib = list(map(get, ends_b))
-            if None not in ia and None not in ib and set(map(_l1, ends_a, ends_b)) == {2}:
-                return {i * n + j if i < j else j * n + i for i, j in zip(ia, ib)}
-    except TypeError:
-        pass  # an unsized edge or an unhashable endpoint: the walk names it
     codes = set()
     for e in edges:
         try:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import formulas
 from .lattice_core import (
@@ -524,32 +524,21 @@ def verify_witness(res: SolveResult, req: SolveRequest) -> bool:
 # ============================================================
 
 def request_to_obj(req: SolveRequest) -> dict:
-    return {
-        "k": req.k,
-        "delta": req.delta,
-        "diameter": req.diameter,
-        "mode": req.mode,
-        "max_nodes": req.max_nodes,
-        "max_seconds": req.max_seconds,
-        "region_cap": req.region_cap,
-    }
+    return asdict(req)
 
 
 def request_from_obj(obj: dict) -> SolveRequest:
+    """``SolveRequest`` from its object form; ValueError on an unknown or missing key."""
     if not isinstance(obj, dict):
         raise ValueError("solve request must be a JSON object")
-    try:
-        return SolveRequest(
-            k=obj["k"],
-            delta=obj["delta"],
-            diameter=obj["diameter"],
-            mode=obj.get("mode", "exact"),
-            max_nodes=obj.get("max_nodes"),
-            max_seconds=obj.get("max_seconds"),
-            region_cap=obj.get("region_cap", DEFAULT_REGION_CAP),
-        )
-    except KeyError as exc:
-        raise ValueError(f"solve request is missing key {exc.args[0]!r}") from None
+    known = {f.name: f for f in fields(SolveRequest)}
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"solve request has unknown key {key!r}")
+    for name, f in known.items():
+        if name not in obj and f.default is MISSING:
+            raise ValueError(f"solve request is missing key {name!r}")
+    return SolveRequest(**obj)
 
 
 def result_to_obj(res: SolveResult) -> dict:

@@ -12,12 +12,7 @@ from meshddbs import (
     leading_terms,
     two_term_value,
 )
-from meshddbs.formulas import (
-    BALL_CSV_HEADER,
-    BallSpec,
-    ball_rows,
-    ball_rows_to_csv,
-)
+from meshddbs.formulas import BallSpec
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -116,15 +111,6 @@ def test_two_term_tracks_count_to_second_order():
     for p in (20, 40, 80):
         resid = count_points(EVEN, k, p) - two_term_value(EVEN, k, p)
         assert abs(Fraction(resid, p ** (k - 2))) < 10
-
-
-def test_ball_rows_csv_shape():
-    rows = ball_rows(EVEN, 2, range(0, 4))
-    text = ball_rows_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == BALL_CSV_HEADER
-    assert len(lines) == 5
-    assert lines[1].startswith("even,2,0,1,")
 
 
 def test_degenerate_dimension_counts():

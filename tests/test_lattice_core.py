@@ -27,8 +27,10 @@ from meshddbs import (
     graph_to_json,
     is_connected,
     l1_distance,
+    leading_terms,
     max_degree,
     point_label,
+    two_term_value,
     validate_point,
 )
 from meshddbs.lattice_core import true_coordinate
@@ -307,6 +309,17 @@ MALFORMED = {
     "compare_bounds-parity-str": lambda: compare_bounds("even", 2, 2, 3),
     "family_size-k-bool": lambda: family_size("e", True, 3),
     "family_size-p-bool": lambda: family_size("e", 2, True),
+    "family_size-edge-p-false": lambda: family_size("edge", 2, False),
+    "build_family-edge-p-false": lambda: build_family("edge", 2, False),
+    "build_family-edge-p-float": lambda: build_family("edge", 2, 0.0),
+    "leading_terms-parity-str": lambda: leading_terms("even", 2),
+    "two_term_value-parity-str": lambda: two_term_value("even", 2, 3),
+    "two_term_value-p-bool": lambda: two_term_value(EVEN, 2, True),
+    "two_term_value-p-float": lambda: two_term_value(EVEN, 2, 3.0),
+    "two_term_value-p-negative": lambda: two_term_value(EVEN, 2, -1),
+    "request-unknown-key": lambda: request_from_json(
+        '{"k":2,"delta":3,"diameter":4,"mdoe":"induced"}'
+    ),
     "result-optimum-str": lambda: result_from_json(_result_json(optimum="7")),
     "result-optimum-bool": lambda: result_from_json(_result_json(optimum=True)),
     "result-optimal-str": lambda: result_from_json(_result_json(optimal="yes")),

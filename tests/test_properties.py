@@ -136,7 +136,7 @@ def test_canonicalisation_matches_naive_reference(parity, k, p, data):
     vset = sorted(set(pts))
     mesh = [(a, b) for a in vset for b in vset if a < b and l1_distance(a, b) == 2]
     chosen = data.draw(st.lists(st.sampled_from(mesh), max_size=30)) if mesh else []
-    # List endpoints take the edge walk, tuple endpoints the bulk path.
+    # Some endpoints arrive as lists; the edge walk turns them into tuples.
     wrap = data.draw(st.booleans())
     edges = _orient_and_wrap(data, chosen + chosen[:data.draw(st.integers(0, 3))], wrap)
     verts = [list(v) if data.draw(st.booleans()) else v for v in pts]
