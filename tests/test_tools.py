@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under tools/."""
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -14,10 +15,29 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER_DIFF = ROOT / "tools" / "solver_diff.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
-#: sha256 of the full default output of tools/solver_diff.py (134 lines),
-#: recorded before search nodes repaired carried BFS layers: every
-#: optimum, witness and node count of the fixed request list.
-SOLVER_DIFF_SHA256 = "e4b196c7f22e540cbe37410314775fb4041cf1bf516cc1602e95c961b8752505"
+#: sha256 of the default output of tools/solver_diff.py (134 lines) with
+#: ``explored`` removed from each line: every optimum, optimal flag, note
+#: and witness of the fixed request list.  Search changes must keep it.
+SOLVER_DIFF_ANSWER_SHA256 = "9fece5bac83acf5baaf1692260e5a3f8e82149e1c25df9568f498dbc1f2ed430"
+
+#: ``explored`` of each line of that output: the ladder rungs, then one
+#: row per (k, delta) of the grid, D=1..5 with exact and induced mode
+#: alternating.  Exact pruning may lower these, never raise them.
+SOLVER_DIFF_EXPLORED = (
+    1119, 10900, 6146, 1953, 5381, 20079, 6135, 35767, 8000, 8000, 8000, 1567, 2089, 500,
+    2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+    2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
+    2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+    2, 2, 9, 8, 15, 346, 36, 182, 91, 700,
+    2, 2, 25, 24, 235, 221, 1119, 2089, 3000, 3000,
+    2, 2, 19, 19, 61, 61, 175, 175, 513, 513,
+    2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+    2, 2, 12, 10, 34, 328, 296, 2478, 2408, 3000,
+    2, 2, 177, 156, 3000, 3000, 3000, 3000, 3000, 3000,
+    2, 2, 113, 106, 1953, 3000, 3000, 3000, 3000, 3000,
+    2, 2, 75, 74, 1834, 1800, 3000, 3000, 3000, 3000,
+    2, 2, 66, 66, 844, 844, 3000, 3000, 3000, 3000,
+)
 
 
 def test_solver_diff_prints_one_canonical_line_per_request():
@@ -46,10 +66,24 @@ def _load(name, path):
     return module
 
 
-def test_solver_diff_output_is_pinned():
+@functools.cache
+def _solver_diff_results():
+    """The default solver_diff lines, parsed: one result object per request."""
     tool = _load("solver_diff", SOLVER_DIFF)
-    text = "".join(tool.canonical_line(req) + "\n" for req in tool.fixed_requests())
-    assert hashlib.sha256(text.encode()).hexdigest() == SOLVER_DIFF_SHA256
+    return tuple(json.loads(tool.canonical_line(req)) for req in tool.fixed_requests())
+
+
+def test_solver_diff_output_is_pinned():
+    answers = []
+    for obj in _solver_diff_results():
+        obj = dict(obj)
+        del obj["explored"]
+        answers.append(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    assert hashlib.sha256("".join(answers).encode()).hexdigest() == SOLVER_DIFF_ANSWER_SHA256
+
+
+def test_solver_diff_effort_is_pinned():
+    assert tuple(obj["explored"] for obj in _solver_diff_results()) == SOLVER_DIFF_EXPLORED
 
 
 def test_pinned_requests_cover_the_benchmark_ladder():
