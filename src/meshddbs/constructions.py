@@ -56,6 +56,8 @@ from .lattice_core import (
     Point,
     _centers,
     _int_at_least,
+    _need_int,
+    _need_parity,
 )
 
 EVEN = LatticeParity.EVEN
@@ -71,12 +73,9 @@ class BuildParams:
     parity: LatticeParity = EVEN
 
     def __post_init__(self):
-        if not _int_at_least(self.k, 1):
-            raise ValueError(f"dimension k must be an integer >= 1, got {self.k!r}")
-        if not _int_at_least(self.p, 0):
-            raise ValueError(f"radius parameter p must be an integer >= 0, got {self.p!r}")
-        if not isinstance(self.parity, LatticeParity):
-            raise ValueError(f"parity must be a LatticeParity, got {self.parity!r}")
+        _need_int(self.k, 1, "dimension k")
+        _need_int(self.p, 0, "radius parameter p")
+        _need_parity(self.parity)
 
 
 class FreePair(NamedTuple):

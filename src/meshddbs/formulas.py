@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .lattice_core import LatticeParity, _int_at_least
+from .lattice_core import LatticeParity, _need_int, _need_parity
 
 #: Refuse to materialise balls with more points than this by default.
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -29,12 +29,9 @@ class BallSpec:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.parity, LatticeParity):
-            raise ValueError(f"parity must be a LatticeParity, got {self.parity!r}")
-        if not _int_at_least(self.k, 1):
-            raise ValueError(f"dimension k must be an integer >= 1, got {self.k!r}")
-        if not _int_at_least(self.p, 0):
-            raise ValueError(f"radius parameter p must be an integer >= 0, got {self.p!r}")
+        _need_parity(self.parity)
+        _need_int(self.k, 1, "dimension k")
+        _need_int(self.p, 0, "radius parameter p")
 
 
 class AsymptoticTerms(NamedTuple):
@@ -56,12 +53,9 @@ def count_points(parity: LatticeParity, k: int, p: int) -> int:
             as ``"even"`` included), or ``k`` or ``p`` is not an int
             >= 0 (floats and bools included).
     """
-    if not isinstance(parity, LatticeParity):
-        raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
-    if not _int_at_least(k, 0):
-        raise ValueError(f"dimension k must be an integer >= 0, got {k!r}")
-    if not _int_at_least(p, 0):
-        raise ValueError(f"radius parameter p must be an integer >= 0, got {p!r}")
+    _need_parity(parity)
+    _need_int(k, 0, "dimension k")
+    _need_int(p, 0, "radius parameter p")
     if k == 0:
         return 1 if parity is LatticeParity.EVEN else 2
     if parity is LatticeParity.EVEN:
@@ -119,10 +113,8 @@ def leading_terms(parity: LatticeParity, k: int) -> AsymptoticTerms:
         ValueError: ``parity`` is not a ``LatticeParity`` or ``k`` is not
             an int >= 1 (bools included).
     """
-    if not isinstance(parity, LatticeParity):
-        raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
-    if not _int_at_least(k, 1):
-        raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
+    _need_parity(parity)
+    _need_int(k, 1, "dimension k")
     lead = Fraction(1 << k, factorial(k))
     if parity is LatticeParity.EVEN:
         second = Fraction(1 << (k - 1), factorial(k - 1))
@@ -138,6 +130,5 @@ def two_term_value(parity: LatticeParity, k: int, p: int) -> Fraction:
         ValueError: as ``leading_terms``, or ``p`` is not an int >= 0.
     """
     terms = leading_terms(parity, k)
-    if not _int_at_least(p, 0):
-        raise ValueError(f"radius parameter p must be an integer >= 0, got {p!r}")
+    _need_int(p, 0, "radius parameter p")
     return terms.lead * p**k + terms.second * p ** (k - 1)

@@ -50,6 +50,18 @@ def _int_at_least(x, least: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= least
 
 
+def _need_int(x, least: int, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``_int_at_least(x, least)``."""
+    if not _int_at_least(x, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
+
+
+def _need_parity(parity) -> None:
+    """Raise ValueError unless ``parity`` is a ``LatticeParity``."""
+    if not isinstance(parity, LatticeParity):
+        raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
+
+
 def validate_point(coords, k: int, parity: LatticeParity) -> Point:
     """Check one doubled-coordinate tuple against a lattice.
 
@@ -200,10 +212,8 @@ class MeshGraph:
     __slots__ = ("parity", "k", "vertices", "edges", "_index", "_iadj")
 
     def __init__(self, parity: LatticeParity, k: int, vertices, edges):
-        if not isinstance(parity, LatticeParity):
-            raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
-        if not _int_at_least(k, 1):
-            raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
+        _need_parity(parity)
+        _need_int(k, 1, "dimension k")
         vertices = _field_list(vertices, "vertices")
         try:
             pts = list(map(tuple, vertices))
@@ -378,8 +388,7 @@ class CenteredGraph:
     def __post_init__(self):
         if self.family not in FAMILY_CODES:
             raise ValueError(f"unknown family code {self.family!r}")
-        if not _int_at_least(self.p, 0):
-            raise ValueError(f"radius parameter p must be an integer >= 0, got {self.p!r}")
+        _need_int(self.p, 0, "radius parameter p")
         centers = tuple(sorted(tuple(c) for c in self.centers))
         object.__setattr__(self, "centers", centers)
         expected = _expected_centers(self.family, self.graph.parity, self.graph.k)
@@ -474,8 +483,7 @@ def mesh_from_obj(obj: dict):
             raise ValueError(f"center index {i!r} is out of range")
         centers.append(verts[i])
     p = obj["p"]
-    if not _int_at_least(p, 0):
-        raise ValueError(f"field p must be an integer >= 0, got {p!r}")
+    _need_int(p, 0, "field p")
     return g, tuple(centers), obj["family"], p
 
 

@@ -46,6 +46,13 @@ changes and its layers are kept.  Shedding starts from the layers the
 leaf check found inside the chosen set, which is the graph it sheds.
 Node counts, optima and witnesses are therefore those of a full
 recheck at every step.
+
+Degree shedding partitions edge subsets: branch i at the smallest
+over-degree vertex drops its i-th edge not yet kept and keeps the
+earlier ones in the whole subtree, so no state is visited twice.  A
+subset skipped this way drops an earlier edge, whose own sibling branch
+already refuted it; so the first feasible subset, and the witness, are
+those of a search that branches on every edge.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from .lattice_core import (
     MeshGraph,
     _int_at_least,
     _json_loads,
+    _need_int,
     diameter,
     max_degree,
     mesh_from_obj,
@@ -100,12 +108,9 @@ class SolveRequest:
     region_cap: int = DEFAULT_REGION_CAP
 
     def __post_init__(self):
-        if not _int_at_least(self.k, 1):
-            raise ValueError(f"dimension k must be an integer >= 1, got {self.k!r}")
-        if not _int_at_least(self.delta, 1):
-            raise ValueError(f"degree bound must be an integer >= 1, got {self.delta!r}")
-        if not _int_at_least(self.diameter, 0):
-            raise ValueError(f"diameter bound must be an integer >= 0, got {self.diameter!r}")
+        _need_int(self.k, 1, "dimension k")
+        _need_int(self.delta, 1, "degree bound")
+        _need_int(self.diameter, 0, "diameter bound")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_nodes is not None and not _int_at_least(self.max_nodes, 1):
@@ -240,8 +245,6 @@ class _Search:
 
     def run(self, target):
         self.target = target
-        if target == 1:
-            return [0], []
         return self._rec([0], 1, self.compat[0], [])
 
     def _rec(self, chosen, smask, cand, reaches):
@@ -322,25 +325,23 @@ class _Search:
 
         ``layers[i]`` holds the BFS layers of ``chosen[i]`` in ``rows``.
 
-        Branches on the edges of the smallest over-degree vertex, its
+        Branches on the free edges of the smallest over-degree vertex, its
         neighbours in increasing order: any feasible edge subset must
-        drop at least one of them.  States that disconnect the graph or
-        stretch its diameter past the bound are cut, since further
-        removal cannot undo either.
+        drop at least one of them.  Branch i drops the i-th and keeps the
+        earlier ones in its subtree, marked on both ends in ``fixed``, so
+        no state repeats and the witness stays (see the module docstring).
+        States that disconnect the graph or stretch its diameter past the
+        bound are cut, since further removal cannot undo either.
         """
-        seen = set()
         sources = chosen[:-1]
 
-        def attempt(rows, layers):
-            key = tuple(rows)
-            if key in seen:
-                return None
-            seen.add(key)
+        def attempt(rows, fixed, layers):
             self.budget.spend()
             bad = next((v for v in chosen if rows[v].bit_count() > self.delta), None)
             if bad is None:
                 return rows
-            m = rows[bad]
+            m = rows[bad] & ~fixed[bad]
+            fixed = fixed.copy()
             while m:
                 b = m & -m
                 m ^= b
@@ -350,12 +351,14 @@ class _Search:
                 trimmed[u] ^= 1 << bad
                 kept = self._drop_layers(trimmed, sources, smask, layers, bad, u)
                 if kept is not None:
-                    found = attempt(trimmed, kept)
+                    found = attempt(trimmed, fixed, kept)
                     if found is not None:
                         return found
+                fixed[bad] |= b
+                fixed[u] |= 1 << bad
             return None
 
-        return attempt(rows, layers)
+        return attempt(rows, [0] * len(rows), layers)
 
     def _drop_layers(self, rows, sources, smask, layers, a, b):
         """BFS layers of each source once edge (a, b) is gone from ``rows``.

@@ -34,8 +34,9 @@ from .lattice_core import (
     CenteredGraph,
     LatticeParity,
     MeshGraph,
-    _int_at_least,
     _l1,
+    _need_int,
+    _need_parity,
     diameter,
     hop_counts,
     max_degree,
@@ -350,16 +351,12 @@ def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> Compari
             [1, 2k] (a mesh vertex has only 2k neighbours) or p < 0.
             Family refusals do not raise.
     """
-    if not isinstance(parity, LatticeParity):
-        raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
-    if not _int_at_least(k, 1):
-        raise ValueError(f"dimension k must be an integer >= 1, got {k!r}")
-    if not _int_at_least(delta, 1):
-        raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
+    _need_parity(parity)
+    _need_int(k, 1, "dimension k")
+    _need_int(delta, 1, "delta")
     if delta > 2 * k:
         raise ValueError(f"delta = {delta} exceeds the mesh degree bound 2k = {2 * k}")
-    if not _int_at_least(p, 0):
-        raise ValueError(f"radius parameter p must be an integer >= 0, got {p!r}")
+    _need_int(p, 0, "radius parameter p")
     lower = formulas.count_points(parity, delta // 2, p)
     upper = formulas.count_points(parity, k, p)
     approx = formulas.two_term_value(parity, k, p)

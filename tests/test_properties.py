@@ -3,9 +3,10 @@
 import json
 import re
 from enum import IntEnum
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meshddbs import (
@@ -24,6 +25,7 @@ from meshddbs import (
 from meshddbs.lattice_core import MeshGraph, _points_valid
 from meshddbs.formulas import BallSpec, ball_enumerate
 from meshddbs.solver import (
+    _Budget,
     _reach,
     _region,
     _Search,
@@ -354,3 +356,97 @@ def test_kept_shed_layers_equal_fresh_layers(region, data):
         kept = search._drop_layers(rows, sources, smask, layers, a, b)
         assert kept == fresh(rows)
         layers = kept
+
+
+def _spans(rows, chosen, smask, hops):
+    """True when every chosen vertex reaches all of ``smask`` within ``hops`` in ``rows``."""
+    return all(not smask & ~_reach(rows, 1 << v, smask, hops)[0] for v in chosen)
+
+
+def _unpartitioned_shed(rows, chosen, smask, delta, hops, refuted):
+    """The first degree-feasible edge subset in shedding's branch order.
+
+    A plain reference: it branches on every edge of the smallest
+    over-degree vertex, neighbours in increasing order, checks distances
+    by fresh BFS and skips only states it has already refuted.
+    """
+    key = tuple(rows)
+    if key in refuted or not _spans(rows, chosen, smask, hops):
+        return None
+    refuted.add(key)
+    bad = next((v for v in chosen if rows[v].bit_count() > delta), None)
+    if bad is None:
+        return rows
+    for u in range(len(rows)):
+        if rows[bad] >> u & 1:
+            trimmed = rows.copy()
+            trimmed[bad] ^= 1 << u
+            trimmed[u] ^= 1 << bad
+            found = _unpartitioned_shed(trimmed, chosen, smask, delta, hops, refuted)
+            if found is not None:
+                return found
+    return None
+
+
+#: Box side lengths in mesh steps: 2x3 and 3x3 rectangles and the 2x2x2
+#: cube, each with at most 12 edges and some vertex of degree 3 or more.
+BOX_SIDES = {
+    2: [(1, 2), (2, 1), (2, 2)],
+    3: [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0),
+        (0, 2, 2), (2, 0, 2), (2, 2, 0), (1, 1, 1)],
+}
+
+
+@given(st.sampled_from(REGIONS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_shedding_finds_an_edge_subset_exactly_when_one_exists(region, data):
+    k, bound = region
+    pts, adj = _region(k, bound)
+    # a box of region points less at most one point; the leaf is the
+    # connected part that holds the box's smallest remaining vertex
+    sides = [2 * s for s in data.draw(st.sampled_from(BOX_SIDES[k]))]
+    size = prod(s // 2 + 1 for s in sides)
+
+    def box_at(lo):
+        return [i for i, pt in enumerate(pts)
+                if all(a <= c <= a + s for a, c, s in zip(lo, pt, sides))]
+
+    fitting = [pt for pt in pts if len(box_at(pt)) == size]
+    assume(fitting)
+    box = box_at(data.draw(st.sampled_from(fitting)))
+    box = sorted(set(box) - set(data.draw(st.lists(st.sampled_from(box), max_size=1))))
+    smask = sum(1 << v for v in box)
+    smask = _reach(adj, 1 << box[0], smask, len(box))[0]
+    chosen = [v for v in box if smask >> v & 1]
+    rows = [adj[v] & smask if smask >> v & 1 else 0 for v in range(len(adj))]
+    # the induced graph's own diameter, or up to five hops looser
+    hops = next(h for h in range(len(chosen)) if _spans(rows, chosen, smask, h))
+    hops += data.draw(st.integers(0, 5))
+    # one or two below the largest degree, so that shedding has work;
+    # at least 2: a cap of 1 fits no connected graph on 3 or more vertices
+    delta = max(max(rows[v].bit_count() for v in chosen) - data.draw(st.integers(1, 2)), 2)
+    search = _Search(adj, None, delta, hops, "exact", _Budget(None, None))
+    layers = [_reach(rows, 1 << v, smask, hops)[1] for v in chosen[:-1]]
+    shed = search._shed_degrees(rows, chosen, smask, layers)
+
+    edges = [(a, b) for a in chosen for b in chosen if a < b and rows[a] >> b & 1]
+    exists = False
+    for keep in range(1 << len(edges)):
+        sub = [0] * len(rows)
+        for i, (a, b) in enumerate(edges):
+            if keep >> i & 1:
+                sub[a] |= 1 << b
+                sub[b] |= 1 << a
+        if (all(sub[v].bit_count() <= delta for v in chosen)
+                and _spans(sub, chosen, smask, hops)):
+            exists = True
+            break
+    assert (shed is not None) == exists
+    # the partition skips only refuted subsets, so the witness stays
+    assert shed == _unpartitioned_shed(rows, chosen, smask, delta, hops, set())
+    if shed is not None:
+        for v in range(len(rows)):
+            assert shed[v] & ~rows[v] == 0
+            assert all(shed[u] >> v & 1 for u in range(len(rows)) if shed[v] >> u & 1)
+        assert all(shed[v].bit_count() <= delta for v in chosen)
+        assert _spans(shed, chosen, smask, hops)

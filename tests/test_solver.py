@@ -180,7 +180,7 @@ PINNED = [
     (SolveRequest(k=2, delta=3, diameter=4), 10, True, 1119,
      [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [4, 0], [4, 4]],
      [[0, 1], [1, 2], [1, 5], [3, 4], [4, 5], [4, 8], [5, 6], [6, 7], [6, 9]]),
-    (SolveRequest(k=2, delta=3, diameter=5, region_cap=61), 14, True, 10900,
+    (SolveRequest(k=2, delta=3, diameter=5, region_cap=61), 14, True, 10899,
      [[0, 0], [0, 2], [0, 4], [0, 6], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [2, 8],
       [4, 0], [4, 2], [4, 4], [4, 6]],
      [[0, 1], [1, 2], [1, 6], [2, 3], [3, 8], [4, 5], [5, 6], [5, 10], [6, 7], [7, 8],

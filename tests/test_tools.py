@@ -24,7 +24,7 @@ SOLVER_DIFF_ANSWER_SHA256 = "9fece5bac83acf5baaf1692260e5a3f8e82149e1c25df9568f4
 #: row per (k, delta) of the grid, D=1..5 with exact and induced mode
 #: alternating.  Exact pruning may lower these, never raise them.
 SOLVER_DIFF_EXPLORED = (
-    1119, 10900, 6146, 1953, 5381, 20079, 6135, 35767, 8000, 8000, 8000, 1567, 2089, 500,
+    1119, 10899, 6146, 1953, 5381, 20079, 6135, 35767, 8000, 8000, 8000, 1567, 2089, 500,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
     2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,

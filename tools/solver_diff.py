@@ -1,8 +1,11 @@
 """Print one canonical JSON line per solver request, for checkout-to-checkout diffs.
 
 Each line is the solver's result JSON without its ``elapsed`` field, so
-two checkouts that search the same way print the same bytes, node
-counts (``explored``) included.  Compare two checkouts with::
+two checkouts that search the same way print the same bytes.  The
+``explored`` field is the effort (the node count); every other field is
+the answer.  A pruning change must keep the answer bytes and may only
+lower ``explored``, and ``tests/test_tools.py`` pins the two apart.
+Compare two checkouts with::
 
     python3 A/tools/solver_diff.py > a.txt
     python3 B/tools/solver_diff.py > b.txt
