@@ -53,6 +53,14 @@ earlier ones in the whole subtree, so no state is visited twice.  A
 subset skipped this way drops an earlier edge, whose own sibling branch
 already refuted it; so the first feasible subset, and the witness, are
 those of a search that branches on every edge.
+
+Induced degree cut.  In induced mode no edge is dropped, so a chosen
+vertex's degree is its number of chosen mesh neighbours, and it only
+grows as vertices join.  Every search node, the leaf included, checks
+the chosen vertices: one above delta cuts the subtree, and one at delta
+takes its neighbours out of the candidates.  Neither removes a feasible
+leaf, and the candidate order is unchanged, so the depth-first search
+meets the same lexicographically smallest witness, in fewer nodes.
 """
 
 from __future__ import annotations
@@ -250,6 +258,15 @@ class _Search:
     def _rec(self, chosen, smask, cand, reaches):
         self.budget.spend()
         need = self.target - len(chosen)
+        if self.mode == "induced":
+            # Induced degrees only grow as vertices join: a vertex above
+            # the cap dooms the subtree, and one at it bars its neighbours.
+            for v in chosen:
+                d = (self.adj[v] & smask).bit_count()
+                if d > self.delta:
+                    return None
+                if d == self.delta:
+                    cand &= ~self.adj[v]
         if need == 0:
             return self._leaf(chosen, smask, reaches)
         if cand.bit_count() < need:
@@ -306,8 +323,6 @@ class _Search:
         for v in chosen:
             rows[v] = self.adj[v] & smask
         if max(rows[v].bit_count() for v in chosen) > self.delta:
-            if self.mode == "induced":
-                return None
             rows = self._shed_degrees(rows, chosen, smask, [ls for _, ls in reaches])
             if rows is None:
                 return None
@@ -580,8 +595,16 @@ def result_from_obj(obj: dict) -> SolveResult:
     witness, _, family, _ = mesh_from_obj(obj["witness"])
     if family != "witness":
         raise ValueError(f"embedded graph has family {family!r}, expected 'witness'")
+    if obj["optimum"] != len(witness.vertices):
+        raise ValueError(
+            f"field optimum is {obj['optimum']}, but the witness has "
+            f"{len(witness.vertices)} vertices"
+        )
+    req = request_from_obj(obj["request"])
+    if req.k != witness.k:
+        raise ValueError(f"field request has k={req.k}, but the witness has k={witness.k}")
     return SolveResult(
-        request=request_from_obj(obj["request"]),
+        request=req,
         optimum=obj["optimum"],
         witness=witness,
         optimal=obj["optimal"],

@@ -326,6 +326,10 @@ MALFORMED = {
     "result-explored-negative": lambda: result_from_json(_result_json(explored=-3)),
     "result-elapsed-str": lambda: result_from_json(_result_json(elapsed="x")),
     "result-notes-str": lambda: result_from_json(_result_json(notes="abc")),
+    "result-optimum-not-witness-size": lambda: result_from_json(_result_json(optimum=99)),
+    "result-request-k-not-witness-k": lambda: result_from_json(_result_json(
+        request={"k": 3, "delta": 2, "diameter": 2}
+    )),
 }
 
 

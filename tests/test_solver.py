@@ -1,10 +1,18 @@
 """Exact search behavior on small instances."""
 
 import functools
+import itertools
 
 import pytest
 
-from meshddbs import SolveRequest, SolveResult, solve_exact, verify_witness
+from meshddbs import (
+    LatticeParity,
+    SolveRequest,
+    SolveResult,
+    count_points,
+    solve_exact,
+    verify_witness,
+)
 from meshddbs.lattice_core import mesh_to_obj
 from meshddbs.solver import (
     DEFAULT_REGION_CAP,
@@ -16,6 +24,7 @@ from meshddbs.solver import (
     request_to_json,
     result_from_json,
     result_to_json,
+    result_to_obj,
 )
 
 
@@ -135,6 +144,90 @@ def test_induced_mode_is_lower_bound_otherwise():
     assert any("lower bound" in n for n in res.notes)
 
 
+def _half_ball(k, bound):
+    """The origin and the lexicographically positive points within ``bound`` hops, sorted."""
+    steps = range(-2 * bound, 2 * bound + 1, 2)
+    return sorted(
+        pt for pt in itertools.product(steps, repeat=k)
+        if sum(map(abs, pt)) <= 2 * bound and pt >= (0,) * k
+    )
+
+
+def _induced_shape(adj, members):
+    """(max degree, diameter or None if disconnected) of the induced graph on ``members``."""
+    degree = max((adj[v] & members).bit_count() for v in range(len(adj)) if members >> v & 1)
+    longest = 0
+    for v in range(len(adj)):
+        if not members >> v & 1:
+            continue
+        seen = frontier = 1 << v
+        hops = 0
+        while frontier:
+            nxt = 0
+            for u in range(len(adj)):
+                if frontier >> u & 1:
+                    nxt |= adj[u]
+            frontier = nxt & members & ~seen
+            seen |= frontier
+            hops += bool(frontier)
+        if seen != members:
+            return degree, None
+        longest = max(longest, hops)
+    return degree, longest
+
+
+def _brute_induced(k, bound):
+    """Per degree cap, the largest induced subgraph of the half ball that holds the
+    origin and fits the cap and ``bound``, smallest sorted index tuple first."""
+    pts = _half_ball(k, bound)
+    adj = [sum(1 << j for j, q in enumerate(pts)
+               if sum(abs(a - b) for a, b in zip(p, q)) == 2) for p in pts]
+    shapes = [(members, *_induced_shape(adj, members))
+              for members in range(1, 1 << len(pts), 2)]
+    best = {}
+    for delta in range(1, 2 * k + 1):
+        fits = [[i for i in range(len(pts)) if members >> i & 1]
+                for members, degree, diam in shapes
+                if degree <= delta and diam is not None and diam <= bound]
+        top = min(fits, key=lambda idx: (-len(idx), idx))
+        best[delta] = [list(pts[i]) for i in top]
+    return best
+
+
+#: (k, diameter) of the exhaustive induced check; every half ball holds at most 13 points.
+BRUTE_INSTANCES = [(1, d) for d in range(1, 6)] + [(2, d) for d in range(1, 4)] + [
+    (3, d) for d in range(1, 3)]
+
+
+@pytest.mark.parametrize("k,bound", BRUTE_INSTANCES)
+def test_induced_mode_matches_brute_force(k, bound):
+    # The induced degree cut must keep the optimum and the
+    # lexicographically smallest witness of a plain enumeration.
+    for delta, verts in _brute_induced(k, bound).items():
+        req = SolveRequest(k=k, delta=delta, diameter=bound, mode="induced")
+        res = solve_exact(req)
+        assert res.optimum == len(verts), (delta, res.optimum, len(verts))
+        assert mesh_to_obj(res.witness)["vertices"] == verts, delta
+        assert verify_witness(res, req)
+
+
+@pytest.mark.parametrize("k,delta,bound,optimum", [(3, 2, 5, 10), (3, 3, 3, 8)])
+def test_budgeted_induced_solve_equals_unbudgeted(k, delta, bound, optimum):
+    # Both ran out of the 3,000-node budget before the induced degree
+    # cut; they now finish within it with the unbudgeted answer.
+    cap = count_points(LatticeParity.EVEN, k, bound)
+    answers = []
+    for max_nodes in (3000, None):
+        obj = result_to_obj(solve_exact(SolveRequest(
+            k=k, delta=delta, diameter=bound, mode="induced", max_nodes=max_nodes,
+            region_cap=cap)))
+        for key in ("request", "explored", "elapsed"):
+            del obj[key]
+        answers.append(obj)
+    assert answers[0] == answers[1]
+    assert (answers[0]["optimum"], answers[0]["optimal"]) == (optimum, False)
+
+
 def test_verify_witness_rejects_mismatch():
     req = SolveRequest(k=2, delta=2, diameter=2)
     res = solve_exact(req)
@@ -174,8 +267,11 @@ def test_default_region_cap_value():
 
 # (request, optimum, optimal, explored, witness vertices, witness edges as
 # index pairs into the vertex list), recorded before the leaf check moved
-# to bitmask rows.  The answer (optimum, optimal flag and witness) must
-# survive any search change; the effort (node count) may only fall.
+# to bitmask rows.  The effort (node count) may only fall.  A search
+# change keeps the answer (optimum, optimal flag and witness) of every
+# request the previous code finished within its node budget; one that
+# ran out of budget before may change only to the answer the previous
+# code gives for that request without a budget.
 PINNED = [
     (SolveRequest(k=2, delta=3, diameter=4), 10, True, 1119,
      [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [4, 0], [4, 4]],
@@ -190,7 +286,7 @@ PINNED = [
       [2, 2, 2], [4, 0, 0], [4, 0, 2]],
      [[0, 1], [0, 4], [1, 5], [2, 3], [2, 4], [3, 5], [4, 6], [4, 8], [5, 7], [5, 9],
       [6, 7], [8, 9]]),
-    (SolveRequest(k=2, delta=3, diameter=4, mode="induced"), 9, False, 2089,
+    (SolveRequest(k=2, delta=3, diameter=4, mode="induced"), 9, False, 931,
      [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [4, 2], [4, 4], [6, 2]],
      [[0, 1], [0, 4], [1, 2], [1, 5], [3, 4], [4, 5], [5, 6], [6, 7], [6, 8]]),
     # The three below were recorded before the distance checks became

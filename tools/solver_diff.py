@@ -3,8 +3,11 @@
 Each line is the solver's result JSON without its ``elapsed`` field, so
 two checkouts that search the same way print the same bytes.  The
 ``explored`` field is the effort (the node count); every other field is
-the answer.  A pruning change must keep the answer bytes and may only
-lower ``explored``, and ``tests/test_tools.py`` pins the two apart.
+the answer, and ``tests/test_tools.py`` pins the two apart.  A pruning
+change may only lower ``explored``.  It keeps the answer bytes of every
+line the previous code finished within its node budget; a line that ran
+out of budget before may change only to the answer the previous code
+gives for that request without a budget.
 Compare two checkouts with::
 
     python3 A/tools/solver_diff.py > a.txt
