@@ -1,7 +1,10 @@
 """Command-line front end: build, verify, ball, table, solve, export.
 
-Exit codes: 0 on success, 1 on a domain error (bad parameters for a
-family, failed verification, unreadable file), 2 on a usage error.
+Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.
+One rule gives the 1: any ``ValueError`` or ``OSError`` a command
+raises (bad parameters for a family, malformed or unreadable input, a
+region cap exceeded) exits 1 with its message; ``verify`` also exits 1
+when a condition fails.  Click reports usage errors with exit 2.
 """
 
 from __future__ import annotations
@@ -46,23 +49,22 @@ RANGE = _RangeType()
 _PARITY = click.Choice(["even", "odd"])
 
 
-def _fail(exc) -> None:
-    raise click.ClickException(str(exc))
+class _Group(click.Group):
+    """Command group that turns a command's ValueError or OSError into exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from None
 
 
 def _read_graph(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        _fail(exc)
-    try:
-        return graph_from_json(text)
-    except ValueError as exc:
-        _fail(exc)
+    with open(path, "r", encoding="utf-8") as fh:
+        return graph_from_json(fh.read())
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Bounded-degree, bounded-diameter mesh subgraphs: build and study."""
 
@@ -81,31 +83,20 @@ def build(family, k, p, parity, out):
     """Build one family member and emit its canonical graph JSON."""
     par = LatticeParity(parity) if parity is not None else None
     if par is not None and family != "cycle":
-        _fail(f"--parity only applies to the cycle family, not {family!r}")
-    try:
-        cg = build_family(family, k, p, par)
-    except ValueError as exc:
-        _fail(exc)
-    text = graph_to_json(cg)
+        raise ValueError(f"--parity only applies to the cycle family, not {family!r}")
+    text = graph_to_json(build_family(family, k, p, par))
     if out is None:
         click.echo(text)
     else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            _fail(exc)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 @main.command()
 @click.option("--in", "path", required=True, type=click.Path(dir_okay=False))
 def verify(path):
     """Check a stored graph against its family's defining conditions."""
-    cg = _read_graph(path)
-    try:
-        report = verification.check_conditions(cg)
-    except ValueError as exc:
-        _fail(exc)
+    report = verification.check_conditions(_read_graph(path))
     for line in verification.report_lines(report):
         click.echo(line)
     if not report.passed:
@@ -120,16 +111,13 @@ def verify(path):
               help="Cross-check the closed form against full enumeration.")
 def ball(parity, k, p, check):
     """Count lattice points in the taxicab ball, optionally by enumeration."""
-    try:
-        spec = formulas.BallSpec(LatticeParity(parity), k, p)
-        count = formulas.ball_count(spec)
-        click.echo(str(count))
-        if check:
-            points = formulas.ball_enumerate(spec)
-            match = "true" if len(points) == count else "false"
-            click.echo(f"oracle-match={match}")
-    except ValueError as exc:
-        _fail(exc)
+    spec = formulas.BallSpec(LatticeParity(parity), k, p)
+    count = formulas.ball_count(spec)
+    click.echo(str(count))
+    if check:
+        points = formulas.ball_enumerate(spec)
+        match = "true" if len(points) == count else "false"
+        click.echo(f"oracle-match={match}")
 
 
 @main.command()
@@ -140,10 +128,7 @@ def ball(parity, k, p, check):
 @click.option("--format", "fmt", type=click.Choice(["csv", "pretty"]), default="csv")
 def table(parity, k_range, p_range, delta, fmt):
     """Bound-comparison table over a (k, p) grid at one degree cap."""
-    try:
-        rows = verification.sweep_table(LatticeParity(parity), k_range, delta, p_range)
-    except ValueError as exc:
-        _fail(exc)
+    rows = verification.sweep_table(LatticeParity(parity), k_range, delta, p_range)
     if fmt == "csv":
         click.echo(verification.rows_to_csv(rows), nl=False)
     else:
@@ -154,21 +139,14 @@ def table(parity, k_range, p_range, delta, fmt):
 @click.option("--k", required=True, type=int)
 @click.option("--delta", required=True, type=int)
 @click.option("--diameter", required=True, type=int)
-@click.option("--mode", type=click.Choice(["exact", "induced"]), default="exact")
+@click.option("--mode", type=click.Choice(solver.MODES), default="exact")
 @click.option("--max-nodes", type=int, default=None)
 @click.option("--max-seconds", type=float, default=None)
 @click.option("--region-cap", type=int, default=solver.DEFAULT_REGION_CAP,
               show_default=True, help="Largest candidate ball searched.")
-def solve(k, delta, diameter, mode, max_nodes, max_seconds, region_cap):
+def solve(**options):
     """Solve one instance exactly and print the result with its witness."""
-    try:
-        req = solver.SolveRequest(
-            k=k, delta=delta, diameter=diameter, mode=mode, max_nodes=max_nodes,
-            max_seconds=max_seconds, region_cap=region_cap,
-        )
-        res = solver.solve_exact(req)
-    except ValueError as exc:
-        _fail(exc)
+    res = solver.solve_exact(solver.SolveRequest(**options))
     click.echo(f"optimum={res.optimum}")
     click.echo(f"optimal={'true' if res.optimal else 'false'}")
     click.echo(f"explored={res.explored}")

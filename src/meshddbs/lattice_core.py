@@ -439,18 +439,23 @@ def _index_pairs_valid(pairs: list, n: int) -> bool:
     return set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n
 
 
+def _need_keys(obj, what: str, keys) -> None:
+    """Raise ValueError unless ``obj`` is a dict holding every key in ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} is missing key {key!r}")
+
+
 def mesh_from_obj(obj: dict):
     """Rebuild (MeshGraph, centers, family, p) from the dict form.
 
     Raises:
         ValueError: missing keys, wrong scale, malformed indices.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("graph object must be a JSON object")
-    required = ("parity", "k", "coord_scale", "vertices", "edges", "centers", "family", "p")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"graph object is missing key {key!r}")
+    _need_keys(obj, "graph object",
+               ("parity", "k", "coord_scale", "vertices", "edges", "centers", "family", "p"))
     if obj["coord_scale"] != COORD_SCALE:
         raise ValueError(f"unsupported coord_scale {obj['coord_scale']!r}, expected {COORD_SCALE}")
     try:
@@ -488,10 +493,10 @@ def mesh_from_obj(obj: dict):
 
 
 def _json_loads(text: str):
-    """Parse JSON text; a syntax error becomes a ValueError naming it."""
+    """Parse JSON text; a syntax error or too deep a nesting becomes a ValueError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
 
 

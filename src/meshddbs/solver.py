@@ -77,6 +77,7 @@ from .lattice_core import (
     _int_at_least,
     _json_loads,
     _need_int,
+    _need_keys,
     diameter,
     max_degree,
     mesh_from_obj,
@@ -419,6 +420,16 @@ def _region(k, bound):
     return pts, adj
 
 
+def _proves_optimum(req: SolveRequest) -> bool:
+    """Whether a search that ran to the end proves its optimum.
+
+    An induced search is exact only when delta >= 2k, where no mesh
+    edge needs dropping; below that its optimum is a lower bound.  At
+    diameter 0 one vertex is the answer in either mode.
+    """
+    return req.mode == "exact" or req.delta >= 2 * req.k or req.diameter == 0
+
+
 def solve_exact(req: SolveRequest) -> SolveResult:
     """Solve one instance exactly, or report how far the budget got.
 
@@ -479,21 +490,13 @@ def solve_exact(req: SolveRequest) -> SolveResult:
         verts = [pts[i] for i in chosen]
         edges = [(pts[a], pts[b]) for a, b in edge_pairs]
 
+    proves = _proves_optimum(req)
     if req.mode == "induced":
-        if delta == mesh_degree:
-            optimal = exhausted
-            notes.append(
-                "induced search is exact here: the degree cap equals the mesh degree"
-            )
-        else:
-            optimal = False
-            notes.append(
-                "induced-only optimum is a lower bound: exact subgraphs may drop edges"
-            )
-    else:
-        optimal = exhausted
-
-    return _finish(req, verts, edges, optimal, budget.nodes, t0, notes)
+        notes.append(
+            "induced search is exact here: the degree cap equals the mesh degree" if proves
+            else "induced-only optimum is a lower bound: exact subgraphs may drop edges"
+        )
+    return _finish(req, verts, edges, exhausted and proves, budget.nodes, t0, notes)
 
 
 def _finish(req, verts, edges, optimal, explored, t0, notes):
@@ -547,15 +550,11 @@ def request_to_obj(req: SolveRequest) -> dict:
 
 def request_from_obj(obj: dict) -> SolveRequest:
     """``SolveRequest`` from its object form; ValueError on an unknown or missing key."""
-    if not isinstance(obj, dict):
-        raise ValueError("solve request must be a JSON object")
-    known = {f.name: f for f in fields(SolveRequest)}
+    known = {f.name: f.default for f in fields(SolveRequest)}
+    _need_keys(obj, "solve request", [name for name, d in known.items() if d is MISSING])
     for key in obj:
         if key not in known:
             raise ValueError(f"solve request has unknown key {key!r}")
-    for name, f in known.items():
-        if name not in obj and f.default is MISSING:
-            raise ValueError(f"solve request is missing key {name!r}")
     return SolveRequest(**obj)
 
 
@@ -583,12 +582,8 @@ _RESULT_FIELDS = (
 
 
 def result_from_obj(obj: dict) -> SolveResult:
-    if not isinstance(obj, dict):
-        raise ValueError("solve result must be a JSON object")
-    required = ("request", "optimum", "optimal", "explored", "elapsed", "notes", "witness")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"solve result is missing key {key!r}")
+    _need_keys(obj, "solve result",
+               ("request", "optimum", "optimal", "explored", "elapsed", "notes", "witness"))
     for key, ok, what in _RESULT_FIELDS:
         if not ok(obj[key]):
             raise ValueError(f"field {key} must be {what}, got {obj[key]!r}")
@@ -603,6 +598,11 @@ def result_from_obj(obj: dict) -> SolveResult:
     req = request_from_obj(obj["request"])
     if req.k != witness.k:
         raise ValueError(f"field request has k={req.k}, but the witness has k={witness.k}")
+    if obj["optimal"] and not _proves_optimum(req):
+        raise ValueError(
+            f"field optimal is true, but an induced search with delta {req.delta} "
+            f"below 2k = {2 * req.k} only gives a lower bound"
+        )
     return SolveResult(
         request=req,
         optimum=obj["optimum"],

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 import meshddbs
@@ -89,6 +90,63 @@ def test_verify_malformed_file_exits_one_without_traceback(tmp_path):
     assert r.returncode == 1
     assert "Traceback" not in r.stdout + r.stderr
     assert "out of range" in r.stderr
+
+
+def test_verify_deeply_nested_file_exits_one_without_traceback(tmp_path):
+    out = tmp_path / "deep.json"
+    out.write_text("[" * 100000)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(meshddbs.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-m", "meshddbs.cli", "verify", "--in", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert r.returncode == 1
+    assert "Traceback" not in r.stdout + r.stderr
+    assert "invalid JSON" in r.stderr
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+#: One malformed input per command: arguments (given a temporary directory) and message.
+CLI_ERRORS = {
+    "export-malformed-file": (
+        lambda d: ["export", "--in", _write(d / "g.json", "{"), "--format", "json"],
+        "invalid JSON",
+    ),
+    "build-out-missing-directory": (
+        lambda d: ["build", "--family", "e", "--k", "2", "--p", "3",
+                   "--out", str(d / "missing" / "g.json")],
+        "No such file or directory",
+    ),
+    "ball-k-zero": (
+        lambda d: ["ball", "--parity", "even", "--k", "0", "--p", "3"],
+        "dimension k",
+    ),
+    "table-delta-above-2k": (
+        lambda d: ["table", "--parity", "even", "--k", "2", "--p", "3", "--delta", "5"],
+        "exceeds the mesh degree",
+    ),
+    "solve-max-nodes-zero": (
+        lambda d: ["solve", "--k", "2", "--delta", "3", "--diameter", "2",
+                   "--max-nodes", "0"],
+        "max_nodes",
+    ),
+    "build-parity-not-cycle": (
+        lambda d: ["build", "--family", "e", "--k", "2", "--p", "3", "--parity", "odd"],
+        "--parity only applies to the cycle family",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, message", list(CLI_ERRORS.values()), ids=list(CLI_ERRORS))
+def test_command_error_exits_one_with_message(tmp_path, args, message):
+    r = run(*args(tmp_path))
+    assert r.exit_code == 1
+    assert message in r.output
+    assert isinstance(r.exception, SystemExit)  # no uncaught error
 
 
 def test_verify_missing_file():

@@ -330,6 +330,12 @@ MALFORMED = {
     "result-request-k-not-witness-k": lambda: result_from_json(_result_json(
         request={"k": 3, "delta": 2, "diameter": 2}
     )),
+    "result-optimal-induced-below-mesh-degree": lambda: result_from_json(_result_json(
+        request={"k": 2, "delta": 2, "diameter": 2, "mode": "induced"}, optimal=True
+    )),
+    "graph-json-deep": lambda: graph_from_json("[" * 100000),
+    "request-json-deep": lambda: request_from_json("[" * 100000),
+    "result-json-deep": lambda: result_from_json("[" * 100000),
 }
 
 
