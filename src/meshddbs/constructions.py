@@ -25,10 +25,10 @@ two spines, deliberately not joined, keeping both centers at degree 2.
 The enlarged variants start the stack two levels out, put radius p-1
 copies on both innermost levels (the enlarged family on the minus side,
 the core family on the plus side), and fill the otherwise empty central
-plane with degree-1 vertices hanging from the plus-side copy.  The
-recursion passes raw vertex and edge sets between levels and builds
-one ``MeshGraph`` at the end.
+plane with degree-1 vertices hanging from the plus-side copy.
 
+Every builder passes raw vertex and edge sets between its levels
+(``_stack`` and ``_g3``) and builds one ``MeshGraph`` per public call.
 Builders are pure functions of their arguments; building twice yields
 identical graphs.  For k >= 2 and p < 3 the stacked families degenerate
 to a one-dimensional path along axis 1 with the same family tag.
@@ -45,6 +45,7 @@ the same message.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,11 +106,11 @@ def _central_plane_pendants(plus_verts, p: int, odd: bool):
     plus-side copy.  Admission works in doubled coordinates:
 
     * within the shrunken ball: sum of |coordinates| at most 2(p-2);
-    * last stacked coordinate bounded: at most 2(p-2) on the even
-      lattice, at most 2p-3 on the odd lattice;
     * away from the spine: every coordinate nonzero on the even lattice,
       first coordinate not +-1 on the odd lattice.
 
+    The budget test also bounds the last stacked coordinate, since
+    |w[-1]| <= sum |w| <= 2(p-2) <= 2p-3, so no separate bound is needed.
     Iterating over the plus-side copy keeps the hook vertex existent by
     construction; admissible positions whose hook is absent (possible on
     the odd lattice when all stacked coordinates vanish) are skipped.
@@ -118,18 +119,10 @@ def _central_plane_pendants(plus_verts, p: int, odd: bool):
     verts = []
     edges = []
     for w in plus_verts:
-        if sum(abs(c) for c in w) > limit:
+        if sum(map(abs, w)) > limit:
             continue
-        if odd:
-            if abs(w[-1]) > 2 * p - 3:
-                continue
-            if w[0] in (1, -1):
-                continue
-        else:
-            if abs(w[-1]) > limit:
-                continue
-            if any(c == 0 for c in w):
-                continue
+        if w[0] in (1, -1) if odd else not all(w):
+            continue
         verts.append(w + (0,))
         edges.append((w + (0,), w + (2,)))
     return verts, edges
@@ -182,11 +175,10 @@ def _pendant_count(odd: bool, k: int, q: int, memo: dict) -> int:
     ``_stack(odd, False, k, q)`` of an enlarged family at p = q + 1.  A
     vertex at level +-i of that copy passes exactly when its part in the
     (k-1)-dimensional copy of radius q-i passes the same test at q-i:
-    the coordinate budget 2(q-1) less 2i is 2(q-i-1), and the bound on
-    the last coordinate always holds there.  The centers never pass, so
-    P(k, q) = 2 * sum(P(k-1, q-i) for 1 <= i <= q-2), and on the axis
-    path (k == 1) the nonzero even points, or the odd points off +-1,
-    within 2(q-1) remain.
+    the coordinate budget 2(q-1) less 2i is 2(q-i-1).  The centers never
+    pass, so P(k, q) = 2 * sum(P(k-1, q-i) for 1 <= i <= q-2), and on
+    the axis path (k == 1) the nonzero even points, or the odd points
+    off +-1, within 2(q-1) remain.
     """
     key = ("pendants", k, q)
     if key not in memo:
@@ -283,29 +275,27 @@ def build_odd_extended(k: int, p: int) -> CenteredGraph:
 # Degree-3 family
 # ============================================================
 
-def find_free_pair(g: MeshGraph, used=frozenset()) -> FreePair:
+def _free_pair(edges) -> FreePair:
+    """``find_free_pair`` over raw edges, sorted and degree-counted once."""
+    pairs = sorted({(a, b) if a < b else (b, a) for a, b in edges})
+    degree = Counter(v for pair in pairs for v in pair)
+    for a, b in pairs:
+        if degree[a] <= 2 and degree[b] <= 2:
+            return FreePair(a, b)
+    raise ValueError("no adjacent pair with both degrees at most 2 remains")
+
+
+def find_free_pair(g: MeshGraph) -> FreePair:
     """Smallest adjacent pair whose endpoints both have degree <= 2.
 
-    Pairs are ordered by their sorted endpoint coordinates; pairs listed
-    in ``used`` are skipped, so repeated stacking can consume distinct
-    attachment sites.
+    Pairs are ordered by their sorted endpoint coordinates.  The g3
+    builder chains its planes through this pair of its inner build.
 
     Raises:
         ValueError: no eligible pair remains, which signals that the
             radius is too small to support another stacking level.
     """
-    blocked = set()
-    for pair in used:
-        a, b = pair
-        a = tuple(a)
-        b = tuple(b)
-        blocked.add((a, b) if a < b else (b, a))
-    for a, b in g.edges:
-        if (a, b) in blocked:
-            continue
-        if g.degree(a) <= 2 and g.degree(b) <= 2:
-            return FreePair(a, b)
-    raise ValueError("no adjacent pair with both degrees at most 2 remains")
+    return _free_pair(g.edges)
 
 
 def _g3_params(k: int, p: int) -> None:
@@ -325,41 +315,43 @@ def _g3_size(k: int, p: int) -> int:
     return (2 * (-(-p // 4)) - 1) * _g3_size(k - 1, p // 4)
 
 
+def _g3(k: int, p: int):
+    """Raw (vertices, edges) of family g3, by the recursion of ``_g3_size``."""
+    if k == 1:
+        return _stack(False, False, 1, p, {})
+    m = -(-p // 4) - 1
+    inner = _g3(k - 1, p // 4)
+    v1, v2 = _free_pair(inner[1])
+    verts = set()
+    edges = set()
+    for i in range(-m, m + 1):
+        sv, se = _lift(inner, 2 * i)
+        verts.update(sv)
+        edges.update(se)
+        if i % 2 == 0:
+            if i < m:
+                edges.add((v1 + (2 * i,), v1 + (2 * i + 2,)))
+            if i > -m:
+                edges.add((v2 + (2 * i,), v2 + (2 * i - 2,)))
+    return verts, edges
+
+
 def build_degree_three(k: int, p: int) -> CenteredGraph:
     """Family ``g3``: the degree-3 even-lattice family of diameter <= 2p.
 
     Planes x_k = i for |i| <= ceil(p/4) - 1 each hold a copy of the
-    (k-1)-dimensional build at radius floor(p/4).  One designated free
-    pair per plane carries the chaining: every even plane sends its
-    first pair vertex up and its second pair vertex down, so no vertex
-    collects more than one chaining edge and degree stays at most 3.
+    (k-1)-dimensional build at radius floor(p/4).  Its free pair carries
+    the chaining: every even plane sends its first pair vertex up and
+    its second pair vertex down, so no vertex collects more than one
+    chaining edge and degree stays at most 3.
 
     Raises:
         ValueError: p below 4^(k-1), the smallest radius with enough
             room for k stacking levels.
     """
     _g3_params(k, p)
-    if k == 1:
-        verts, edges = _stack(False, False, 1, p, {})
-        return CenteredGraph(MeshGraph(EVEN, 1, verts, edges), _centers(False, 1), p, "g3")
-    m = -(-p // 4) - 1
-    q = p // 4
-    inner = build_degree_three(k - 1, q)
-    pair = find_free_pair(inner.graph)
-    raw = (inner.graph.vertices, inner.graph.edges)
-    verts = set()
-    edges = set()
-    for i in range(-m, m + 1):
-        sv, se = _lift(raw, 2 * i)
-        verts.update(sv)
-        edges.update(se)
-        if i % 2 == 0:
-            if i + 1 <= m:
-                edges.add((pair.v1 + (2 * i,), pair.v1 + (2 * i + 2,)))
-            if i - 1 >= -m:
-                edges.add((pair.v2 + (2 * i,), pair.v2 + (2 * i - 2,)))
-    g = MeshGraph(EVEN, k, verts, edges)
-    return CenteredGraph(g, ((0,) * k,), p, "g3")
+    graph = MeshGraph(EVEN, k, *_g3(k, p))
+    return CenteredGraph(graph, _centers(False, k), p, "g3")
 
 
 # ============================================================

@@ -587,9 +587,11 @@ def result_from_obj(obj: dict) -> SolveResult:
     for key, ok, what in _RESULT_FIELDS:
         if not ok(obj[key]):
             raise ValueError(f"field {key} must be {what}, got {obj[key]!r}")
-    witness, _, family, _ = mesh_from_obj(obj["witness"])
-    if family != "witness":
-        raise ValueError(f"embedded graph has family {family!r}, expected 'witness'")
+    witness = mesh_from_obj(obj["witness"])[0]
+    if witness.parity is not LatticeParity.EVEN:
+        raise ValueError("field witness must lie on the even lattice")
+    if obj["witness"] != mesh_to_obj(witness, (), "witness", 0):
+        raise ValueError("field witness is not in the canonical form of a solver witness")
     if obj["optimum"] != len(witness.vertices):
         raise ValueError(
             f"field optimum is {obj['optimum']}, but the witness has "

@@ -194,6 +194,12 @@ def test_table_rejects_reversed_range():
     assert r.exit_code == 2
 
 
+def test_table_rejects_malformed_range():
+    r = run("table", "--parity", "even", "--k", "3..x", "--p", "3",
+            "--delta", "2")
+    assert r.exit_code == 2
+
+
 def test_solve_reports_result():
     r = run("solve", "--k", "2", "--delta", "4", "--diameter", "2")
     assert r.exit_code == 0

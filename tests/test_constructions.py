@@ -6,6 +6,7 @@ import pytest
 
 from meshddbs import (
     LatticeParity,
+    MeshGraph,
     build_cycle,
     build_degree_three,
     build_edge,
@@ -163,19 +164,29 @@ def test_find_free_pair_lex_order():
     assert (pair.v1, pair.v2) == ((-4,), (-2,))  # doubled [-2,-1]
 
 
-def test_find_free_pair_exclusion():
-    cg = build_degree_three(1, 2)
-    first = find_free_pair(cg.graph)
-    second = find_free_pair(cg.graph, used=frozenset([first]))
-    assert second != first
-
-
 def test_find_free_pair_exhaustion():
-    cg = build_edge(1)
-    g = cg.graph
-    pair = find_free_pair(g)
+    # every edge of a 3-star meets its degree-3 hub
+    arms = [(2, 0), (-2, 0), (0, 2)]
+    g = MeshGraph(EVEN, 2, [(0, 0)] + arms, [((0, 0), a) for a in arms])
     with pytest.raises(ValueError):
-        find_free_pair(g, used=frozenset([pair]))
+        find_free_pair(g)
+
+
+@pytest.mark.parametrize("family,k,p", [
+    ("e", 3, 5), ("eprime", 3, 5), ("o", 3, 5), ("oprime", 3, 5),
+    ("g3", 3, 16), ("edge", 3, None), ("cycle", 3, 4),
+])
+def test_every_build_makes_one_meshgraph(monkeypatch, family, k, p):
+    calls = []
+    init = MeshGraph.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MeshGraph, "__init__", counted)
+    build_family(family, k, p=p)
+    assert len(calls) == 1
 
 
 def test_build_params_validation():

@@ -60,6 +60,11 @@ def test_l1_dimension_mismatch():
         l1_distance((0, 0), (0, 0, 0))
 
 
+def test_l1_lattice_mismatch():
+    with pytest.raises(ValueError, match="lattice parity mismatch"):
+        l1_distance((0, 0), (1, 0))
+
+
 def test_validate_point_parity():
     assert validate_point((2, -4), 2, EVEN) == (2, -4)
     assert validate_point((3, -4), 2, ODD) == (3, -4)
@@ -188,6 +193,11 @@ def test_diameter_single_vertex():
     assert diameter(MeshGraph(EVEN, 1, [(0,)], [])) == 0
 
 
+def test_diameter_of_empty_graph_is_undefined():
+    with pytest.raises(ValueError, match="empty graph"):
+        diameter(MeshGraph(EVEN, 2, [], []))
+
+
 def test_diameter_grid_cycle():
     # 1 x 2 rectangle perimeter, eight vertices, diameter 4
     verts = [(x, y) for x in (0, 2, 4) for y in (0, 2, 4)]
@@ -223,6 +233,12 @@ def test_centered_graph_validates_center():
         CenteredGraph(g, ((2, 2),), 3, "e")
     with pytest.raises(ValueError):
         CenteredGraph(g, ((0, 0),), 3, "nonsense")
+
+
+def test_centered_graph_needs_its_center_as_a_vertex():
+    g = MeshGraph(EVEN, 2, [(2, 0)], [])
+    with pytest.raises(ValueError, match=re.escape("center (0, 0) is not a vertex")):
+        CenteredGraph(g, ((0, 0),), 3, "e")
 
 
 def test_json_round_trip_is_byte_identical():
@@ -261,6 +277,23 @@ def _result_json(**fields):
     obj = json.loads(result_to_json(solve_exact(SolveRequest(k=2, delta=2, diameter=2))))
     obj.update(fields)
     return json.dumps(obj)
+
+
+def _witness_json(edit):
+    """``_result_json()`` with its embedded witness object changed by ``edit``."""
+    obj = json.loads(_result_json())
+    edit(obj["witness"])
+    return json.dumps(obj)
+
+
+def _to_odd_lattice(w):
+    w.update(parity="odd", vertices=[[x + 1] + rest for x, *rest in w["vertices"]])
+
+
+def _reverse_vertices(w):
+    last = len(w["vertices"]) - 1
+    w["vertices"].reverse()
+    w["edges"] = [[last - i, last - j] for i, j in w["edges"]]
 
 
 MALFORMED = {
@@ -333,6 +366,12 @@ MALFORMED = {
     "result-optimal-induced-below-mesh-degree": lambda: result_from_json(_result_json(
         request={"k": 2, "delta": 2, "diameter": 2, "mode": "induced"}, optimal=True
     )),
+    "result-witness-centers": lambda: result_from_json(
+        _witness_json(lambda w: w.update(centers=[0, 1]))
+    ),
+    "result-witness-p": lambda: result_from_json(_witness_json(lambda w: w.update(p=7))),
+    "result-witness-odd": lambda: result_from_json(_witness_json(_to_odd_lattice)),
+    "result-witness-unsorted": lambda: result_from_json(_witness_json(_reverse_vertices)),
     "graph-json-deep": lambda: graph_from_json("[" * 100000),
     "request-json-deep": lambda: request_from_json("[" * 100000),
     "result-json-deep": lambda: result_from_json("[" * 100000),

@@ -125,6 +125,14 @@ def test_budget_exhaustion_reports_incomplete():
     assert verify_witness(res, req)  # witness stays consistent
 
 
+def test_time_budget_reports_trivial_witness():
+    req = SolveRequest(k=2, delta=3, diameter=5, region_cap=61, max_seconds=1e-9)
+    res = solve_exact(req)
+    assert (res.optimum, res.optimal, res.explored) == (1, False, 256)
+    assert res.notes == (
+        "time budget exhausted; search incomplete, reporting the trivial witness",)
+
+
 def test_node_budget_counts_exactly():
     req = SolveRequest(k=2, delta=3, diameter=7, max_nodes=50, region_cap=113)
     res = solve_exact(req)
@@ -246,6 +254,12 @@ def test_verify_witness_rejects_mismatch():
     assert verify_witness(exact, exact.request)
     assert not verify_witness(exact, induced)
     assert verify_witness(solve_exact(induced), induced)
+
+
+def test_verify_witness_rejects_a_smaller_diameter():
+    res = solve_exact(SolveRequest(k=2, delta=4, diameter=3))
+    assert verify_witness(res, res.request)
+    assert not verify_witness(res, SolveRequest(k=2, delta=4, diameter=2))
 
 
 def test_json_round_trips():

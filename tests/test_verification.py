@@ -96,6 +96,41 @@ def test_degree_witness_names_the_cap():
     assert bound.witness.endswith("(cap 3)")
 
 
+def test_g3_star_fails_only_free_pair():
+    # every edge of a 3-star meets its degree-3 hub, so nothing is left to stack on
+    arms = [(2, 0), (-2, 0), (0, 2)]
+    star = MeshGraph(EVEN, 2, [(0, 0)] + arms, [((0, 0), a) for a in arms])
+    rep = check_conditions(CenteredGraph(star, ((0, 0),), 1, "g3"))
+    assert [c.name for c in rep.checks if not c.passed] == ["free-pair"]
+
+
+def _odd_core_with(drop=(), add=()):
+    """``o`` at k=2, p=4 with edges ``drop`` removed and leaves ``add`` hung on."""
+    full = build_family("o", 2, p=4)
+    g = full.graph
+    verts = set(g.vertices) | {leaf for _, leaf in add}
+    edges = (set(g.edges) - set(drop)) | set(add)
+    return CenteredGraph(MeshGraph(ODD, 2, verts, edges), full.centers, 4, "o")
+
+
+def _reach_witness(cg):
+    [reach] = [c for c in check_conditions(cg).checks if c.name == "center-reach"]
+    assert not reach.passed
+    return reach.witness
+
+
+def test_odd_reach_names_an_unreachable_vertex():
+    # (-7, -2) is a leaf hanging from (-5, -2); cut it loose
+    cg = _odd_core_with(drop=[((-7, -2), (-5, -2))])
+    assert _reach_witness(cg) == "(-7, -2) unreachable"
+
+
+def test_odd_reach_names_a_vertex_too_far_out():
+    # one step beyond the leaf (-7, -2), at distances 4 and 5
+    cg = _odd_core_with(add=[((-7, -2), (-9, -2))])
+    assert _reach_witness(cg) == "(-9, -2) at distances 5 and 6 from the centers"
+
+
 # sha256 over the report_lines of every build on REPORT_GRID that the
 # builder accepts, one line per entry, in order; digests taken before the
 # family conditions were folded into one shared list.
@@ -285,6 +320,13 @@ def test_sweep_table_order_and_csv():
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("even,2,4,3,25,25,25,24.0,1.0,ok")
+
+
+def test_csv_leaves_an_undefined_residual_empty():
+    # at p = 0 and k = 3 the residual scale p^(k-2) is zero
+    row = compare_bounds(EVEN, 3, 4, 0)
+    assert row.residual_norm is None
+    assert rows_to_csv([row]).splitlines()[1].split(",")[8] == ""
 
 
 def test_sweep_table_rejects_empty_ranges():
