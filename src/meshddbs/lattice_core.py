@@ -456,8 +456,9 @@ def mesh_from_obj(obj: dict):
     """
     _need_keys(obj, "graph object",
                ("parity", "k", "coord_scale", "vertices", "edges", "centers", "family", "p"))
-    if obj["coord_scale"] != COORD_SCALE:
-        raise ValueError(f"unsupported coord_scale {obj['coord_scale']!r}, expected {COORD_SCALE}")
+    scale = obj["coord_scale"]
+    if type(scale) is not int or scale != COORD_SCALE:
+        raise ValueError(f"unsupported coord_scale {scale!r}, expected the integer {COORD_SCALE}")
     try:
         parity = LatticeParity(obj["parity"])
     except ValueError:

@@ -54,6 +54,25 @@ subset skipped this way drops an earlier edge, whose own sibling branch
 already refuted it; so the first feasible subset, and the witness, are
 those of a search that branches on every edge.
 
+Forced edges.  Each shed node first tries dropping every free edge of
+every over-degree vertex once.  An edge whose lone removal disconnects
+the graph or stretches a distance past the bound is kept in the whole
+subtree: every state below holds a subset of this node's edges, so
+dropping it there breaks a distance too.  A vertex with more than
+delta kept edges cuts the node.  The trims of the branching vertex are
+its branches, in the same order.  Only states without a feasible
+subset go, so the first feasible subset, and the witness, stay.
+
+Colour bound.  When no region vertex has more mesh neighbours than
+delta (delta = 2k, for any bound of 2 or more), shedding never runs,
+and a feasible set is a clique of the compatibility relation (region
+distance within the bound).  Each search node colours its candidates
+greedily in index order, every class an independent set of that
+relation; a clique holds at most one vertex per class, so fewer
+classes than the vertices still needed cut the node.  The bound cuts
+only subtrees that hold no feasible leaf and the candidate order is
+unchanged, so the search meets the same first witness.
+
 Induced degree cut.  In induced mode no edge is dropped, so a chosen
 vertex's degree is its number of chosen mesh neighbours, and it only
 grows as vertices join.  Every search node, the leaf included, checks
@@ -240,6 +259,25 @@ def _drop_vertex(adj, carried, x):
     return reach ^ x, layers
 
 
+def _colours(compat, cand, need):
+    """Colours of a greedy colouring of ``cand`` in the ``compat`` graph, at most ``need``.
+
+    Each colour class takes the lowest uncoloured vertex and then only
+    vertices incompatible with every vertex it holds, so a clique of
+    ``compat`` has at most one vertex per class.  The count stops at
+    ``need``, the most a caller asks about.
+    """
+    colours = 0
+    while cand and colours < need:
+        colours += 1
+        pool = cand
+        while pool:
+            b = pool & -pool
+            cand ^= b
+            pool &= ~(compat[b.bit_length() - 1] | b)
+    return colours
+
+
 class _Search:
     """Fixed-size subset search over the canonical half ball."""
 
@@ -251,6 +289,10 @@ class _Search:
         self.mode = mode
         self.budget = budget
         self.target = 0
+        # No region vertex has more mesh neighbours than delta (delta = 2k
+        # once the bound is 2 or more), so shedding never runs and every
+        # feasible set is a clique of compat: the colour bound holds.
+        self.colour_bound = all(a.bit_count() <= delta for a in adj)
 
     def run(self, target):
         self.target = target
@@ -271,6 +313,8 @@ class _Search:
         if need == 0:
             return self._leaf(chosen, smask, reaches)
         if cand.bit_count() < need:
+            return None
+        if self.colour_bound and _colours(self.compat, cand, need) < need:
             return None
         # Every chosen vertex must still reach every other within the
         # bound using only chosen-or-candidate vertices; subsets only
@@ -347,31 +391,50 @@ class _Search:
         earlier ones in its subtree, marked on both ends in ``fixed``, so
         no state repeats and the witness stays (see the module docstring).
         States that disconnect the graph or stretch its diameter past the
-        bound are cut, since further removal cannot undo either.
+        bound are cut, since further removal cannot undo either.  Before
+        branching, every free edge of every over-degree vertex is dropped
+        once on trial; an edge whose lone removal is cut that way is kept
+        in ``fixed``, and a vertex keeping more than delta edges cuts the
+        node.
         """
         sources = chosen[:-1]
 
         def attempt(rows, fixed, layers):
             self.budget.spend()
-            bad = next((v for v in chosen if rows[v].bit_count() > self.delta), None)
-            if bad is None:
+            over = [v for v in chosen if rows[v].bit_count() > self.delta]
+            if not over:
                 return rows
-            m = rows[bad] & ~fixed[bad]
+            bad = over[0]
             fixed = fixed.copy()
-            while m:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
-                trimmed = rows.copy()
-                trimmed[bad] ^= b
-                trimmed[u] ^= 1 << bad
-                kept = self._drop_layers(trimmed, sources, smask, layers, bad, u)
-                if kept is not None:
-                    found = attempt(trimmed, fixed, kept)
-                    if found is not None:
-                        return found
+            branches = []
+            tried = 0  # over-degree vertices whose edges were all tried
+            for v in over:
+                m = rows[v] & ~fixed[v] & ~tried
+                while m:
+                    b = m & -m
+                    m ^= b
+                    u = b.bit_length() - 1
+                    rows[v] ^= b
+                    rows[u] ^= 1 << v
+                    kept = self._drop_layers(rows, sources, smask, layers, v, u)
+                    if kept is None:
+                        # Its lone removal breaks a distance, and so does
+                        # its removal from any state below: keep it.
+                        fixed[v] |= b
+                        fixed[u] |= 1 << v
+                    elif v == bad:
+                        branches.append((b, rows.copy(), kept))
+                    rows[v] ^= b
+                    rows[u] ^= 1 << v
+                if fixed[v].bit_count() > self.delta:
+                    return None
+                tried |= 1 << v
+            for b, trimmed, kept in branches:
+                found = attempt(trimmed, fixed, kept)
+                if found is not None:
+                    return found
                 fixed[bad] |= b
-                fixed[u] |= 1 << bad
+                fixed[b.bit_length() - 1] |= 1 << bad
             return None
 
         return attempt(rows, [0] * len(rows), layers)

@@ -307,6 +307,7 @@ MALFORMED = {
     "graph-centers-str": lambda: graph_from_json(_graph_json(centers=["x"])),
     "graph-centers-int": lambda: graph_from_json(_graph_json(centers=3)),
     "graph-p-bool": lambda: graph_from_json(_graph_json(p=True)),
+    "graph-coord-scale-float": lambda: graph_from_json(_graph_json(coord_scale=2.0)),
     "request-max_seconds-str": lambda: request_from_json(
         '{"k":2,"delta":3,"diameter":4,"max_seconds":"5"}'
     ),
@@ -370,6 +371,9 @@ MALFORMED = {
         _witness_json(lambda w: w.update(centers=[0, 1]))
     ),
     "result-witness-p": lambda: result_from_json(_witness_json(lambda w: w.update(p=7))),
+    "result-witness-coord-scale-float": lambda: result_from_json(
+        _witness_json(lambda w: w.update(coord_scale=2.0))
+    ),
     "result-witness-odd": lambda: result_from_json(_witness_json(_to_odd_lattice)),
     "result-witness-unsorted": lambda: result_from_json(_witness_json(_reverse_vertices)),
     "graph-json-deep": lambda: graph_from_json("[" * 100000),

@@ -17,6 +17,7 @@ from meshddbs.lattice_core import mesh_to_obj
 from meshddbs.solver import (
     DEFAULT_REGION_CAP,
     _Budget,
+    _colours,
     _reach,
     _region,
     _Search,
@@ -236,6 +237,40 @@ def test_budgeted_induced_solve_equals_unbudgeted(k, delta, bound, optimum):
     assert (answers[0]["optimum"], answers[0]["optimal"]) == (optimum, False)
 
 
+def test_colour_bound_is_at_least_the_largest_clique():
+    # Every candidate mask of the k=2, D=3 half ball: the greedy colour
+    # count may cut a node only when its candidates hold no such clique.
+    adj = _region(2, 3)[1]
+    n = len(adj)
+    every = (1 << n) - 1
+    compat = [_reach(adj, 1 << i, every, 3)[0] & ~(1 << i) for i in range(n)]
+    clique = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        clique[mask] = max(clique[mask & (mask - 1)], 1 + clique[mask & compat[v]])
+    for mask in range(1 << n):
+        assert _colours(compat, mask, n + 1) >= clique[mask]
+        assert _colours(compat, mask, clique[mask]) == clique[mask]
+
+
+#: (k, largest diameter) of the mesh-degree grid below.
+BALL_GRID = [(2, 10), (3, 6), (4, 4)]
+
+
+@pytest.mark.parametrize("k,top", BALL_GRID)
+def test_mesh_degree_optimum_is_the_ball(k, top):
+    # At delta = 2k the ball of radius D//2 (even D) or its odd-lattice
+    # twin (odd D) is optimal on this grid; measured, not proven in general.
+    for bound in range(1, top + 1):
+        req = SolveRequest(k=k, delta=2 * k, diameter=bound,
+                           region_cap=count_points(LatticeParity.EVEN, k, bound))
+        res = solve_exact(req)
+        parity = LatticeParity.ODD if bound % 2 else LatticeParity.EVEN
+        assert res.optimal, bound
+        assert verify_witness(res, req)
+        assert res.optimum == count_points(parity, k, bound // 2), bound
+
+
 def test_verify_witness_rejects_mismatch():
     req = SolveRequest(k=2, delta=2, diameter=2)
     res = solve_exact(req)
@@ -287,10 +322,10 @@ def test_default_region_cap_value():
 # ran out of budget before may change only to the answer the previous
 # code gives for that request without a budget.
 PINNED = [
-    (SolveRequest(k=2, delta=3, diameter=4), 10, True, 1119,
+    (SolveRequest(k=2, delta=3, diameter=4), 10, True, 1048,
      [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [4, 0], [4, 4]],
      [[0, 1], [1, 2], [1, 5], [3, 4], [4, 5], [4, 8], [5, 6], [6, 7], [6, 9]]),
-    (SolveRequest(k=2, delta=3, diameter=5, region_cap=61), 14, True, 10899,
+    (SolveRequest(k=2, delta=3, diameter=5, region_cap=61), 14, True, 9538,
      [[0, 0], [0, 2], [0, 4], [0, 6], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [2, 8],
       [4, 0], [4, 2], [4, 4], [4, 6]],
      [[0, 1], [1, 2], [1, 6], [2, 3], [3, 8], [4, 5], [5, 6], [5, 10], [6, 7], [7, 8],
@@ -305,12 +340,12 @@ PINNED = [
      [[0, 1], [0, 4], [1, 2], [1, 5], [3, 4], [4, 5], [5, 6], [6, 7], [6, 8]]),
     # The three below were recorded before the distance checks became
     # incremental.  Deep degree shedding:
-    (SolveRequest(k=3, delta=3, diameter=3, region_cap=63), 8, True, 6146,
+    (SolveRequest(k=3, delta=3, diameter=3, region_cap=63), 8, True, 6143,
      [[0, 0, 0], [0, 0, 2], [0, 0, 4], [0, 2, 0], [0, 2, 2], [0, 2, 4], [2, 0, 2],
       [2, 2, 2]],
      [[0, 1], [0, 3], [1, 2], [1, 6], [2, 5], [3, 4], [4, 5], [4, 7], [6, 7]]),
     # reaches kept on both the include and the exclude branch:
-    (SolveRequest(k=2, delta=4, diameter=7, region_cap=113), 32, True, 5381,
+    (SolveRequest(k=2, delta=4, diameter=7, region_cap=113), 32, True, 93,
      [[0, 0], [0, 2], [2, -2], [2, 0], [2, 2], [2, 4], [4, -4], [4, -2], [4, 0], [4, 2],
       [4, 4], [4, 6], [6, -6], [6, -4], [6, -2], [6, 0], [6, 2], [6, 4], [6, 6], [6, 8],
       [8, -4], [8, -2], [8, 0], [8, 2], [8, 4], [8, 6], [10, -2], [10, 0], [10, 2],

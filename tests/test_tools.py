@@ -21,25 +21,25 @@ WORKLOADS = ROOT / "perfbench" / "workloads.py"
 #: answer bytes of every line the previous code finished within its node
 #: budget; a line that ran out of budget before may change only to the
 #: answer the previous code gives for that request without a budget.
-SOLVER_DIFF_ANSWER_SHA256 = "a50f0497045bcbfc9dd5786a20c4a4db1b0241427df7c3202b7a3bb6b0c6a5a5"
+SOLVER_DIFF_ANSWER_SHA256 = "ed7fea4152614be62fadcaf933dbce88c54579002af3defb64f46e5277d47d77"
 
 #: ``explored`` of each line of that output: the ladder rungs, then one
 #: row per (k, delta) of the grid, D=1..5 with exact and induced mode
 #: alternating.  Exact pruning may lower these, never raise them.
 SOLVER_DIFF_EXPLORED = (
-    1119, 10899, 6146, 1953, 5381, 20079, 6135, 7863, 8000, 8000, 8000, 1567, 931, 500,
+    1048, 9538, 6143, 1953, 93, 413, 209, 7863, 8000, 8000, 8000, 139, 931, 500,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
     2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
-    2, 2, 9, 6, 15, 170, 36, 30, 91, 40,
-    2, 2, 25, 22, 235, 167, 1119, 931, 3000, 3000,
-    2, 2, 19, 19, 61, 61, 175, 175, 513, 513,
+    2, 2, 9, 6, 15, 170, 35, 30, 89, 40,
+    2, 2, 25, 22, 235, 167, 1048, 931, 3000, 3000,
+    2, 2, 11, 11, 17, 17, 41, 41, 47, 47,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
-    2, 2, 12, 6, 34, 60, 296, 90, 2408, 172,
+    2, 2, 12, 6, 34, 60, 285, 90, 2297, 172,
     2, 2, 177, 104, 3000, 1954, 3000, 3000, 3000, 3000,
     2, 2, 113, 90, 1953, 3000, 3000, 3000, 3000, 3000,
     2, 2, 75, 72, 1834, 1634, 3000, 3000, 3000, 3000,
-    2, 2, 66, 66, 844, 844, 3000, 3000, 3000, 3000,
+    2, 2, 24, 24, 64, 64, 209, 209, 1212, 1212,
 )
 
 
