@@ -1,10 +1,12 @@
 """Independent checks of built graphs and exact bound comparisons.
 
-The condition checks re-measure graphs from their structure alone
-(degree scans and breadth-first sweeps); the only metadata consumed is
-the family code, the radius parameter, and the declared centers.
-Nothing there trusts the builders' bookkeeping.  The bound comparison
-builds no graph: its construction sizes come from
+Edges are validated once, by ``MeshGraph``, for built and parsed
+graphs alike, so the ``mesh-edges`` condition reports that guarantee.
+The other condition checks measure the family conditions from the
+graph's structure alone (degree scans and breadth-first sweeps); the
+only metadata consumed is the family code, the radius parameter, and
+the declared centers, not the builders' bookkeeping.  The bound
+comparison builds no graph: its construction sizes come from
 ``constructions.family_size``, whose recurrences the tests tie to the
 sizes of built graphs.
 """
@@ -34,7 +36,6 @@ from .lattice_core import (
     CenteredGraph,
     LatticeParity,
     MeshGraph,
-    _l1,
     _need_int,
     _need_parity,
     diameter,
@@ -79,14 +80,6 @@ def _verdict(name: str, ok: bool, witness: str) -> ConditionCheck:
     return ConditionCheck(name, ok, "" if ok else witness)
 
 
-def _mesh_edge_check(g: MeshGraph) -> ConditionCheck:
-    # Re-verify each edge independently of the constructor.
-    for a, b in g.edges:
-        if not (g.has_vertex(a) and g.has_vertex(b)) or _l1(a, b) != 2:
-            return ConditionCheck("mesh-edges", False, f"{a!r} -- {b!r}")
-    return ConditionCheck("mesh-edges", True)
-
-
 def _degree_check(g: MeshGraph, cap_of, exact: bool = False) -> ConditionCheck:
     """Every degree at most ``cap_of(v)``, or equal to it when ``exact``.
 
@@ -117,6 +110,10 @@ _STACKED_CAPS = {
 def check_conditions(cg: CenteredGraph) -> ConditionReport:
     """Evaluate the defining conditions of a family on a built graph.
 
+    The report opens with ``mesh-edges``, which always passes: an
+    immutable ``MeshGraph`` validated each edge once, built or parsed.
+    The checks after it measure the family conditions.
+
     The stacked families ``e``, ``eprime``, ``o`` and ``oprime`` share
     one list: a degree cap; center degree exactly 2 (at most 2 for the
     one-dimensional and degenerate builds); connected; center reach.
@@ -142,7 +139,8 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     g = cg.graph
     family = cg.family
     p = cg.p
-    checks = [_mesh_edge_check(g)]
+    # MeshGraph refuses any edge that is not a mesh edge, built or parsed.
+    checks = [ConditionCheck("mesh-edges", True)]
     n = len(g.vertices)
 
     center_dists = [hop_counts(g, c) for c in cg.centers]

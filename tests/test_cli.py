@@ -105,6 +105,23 @@ def test_verify_deeply_nested_file_exits_one_without_traceback(tmp_path):
     assert "invalid JSON" in r.stderr
 
 
+def test_verify_non_mesh_edge_exits_one_without_traceback(tmp_path):
+    out = tmp_path / "g.json"
+    run("build", "--family", "e", "--k", "2", "--p", "3", "--out", str(out))
+    obj = json.loads(out.read_text())
+    obj["edges"].append([0, 1])  # (-4, -2) -- (-4, 2): doubled distance 4
+    out.write_text(json.dumps(obj))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(meshddbs.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-m", "meshddbs.cli", "verify", "--in", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert r.returncode == 1
+    assert "Traceback" not in r.stdout + r.stderr
+    assert r.stderr.startswith("Error: ")
+    assert "is not a mesh edge" in r.stderr
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)

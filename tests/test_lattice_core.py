@@ -318,6 +318,8 @@ MALFORMED = {
     "graph-edges-bool": lambda: graph_from_json(_graph_json(edges=[[0, True]])),
     "graph-edges-negative": lambda: graph_from_json(_graph_json(edges=[[-1, 0]])),
     "graph-edges-index-n": lambda: graph_from_json(_graph_json(edges=[[0, GRAPH_N]])),
+    # vertices 0 and 1 are (-4, -2) and (-4, 2), at doubled distance 4
+    "graph-edges-not-mesh": lambda: graph_from_json(_graph_json(edges=[[0, 1]])),
     "graph-vertices-bool-entry": lambda: graph_from_json(
         _graph_json(vertices=[[0, 0], [0, False]], edges=[])
     ),
@@ -382,7 +384,11 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("call", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_input_raises_value_error(call):
-    with pytest.raises(ValueError):
-        call()
+#: Messages some MALFORMED entries must raise; the others need only raise.
+MALFORMED_MESSAGES = {"graph-edges-not-mesh": "is not a mesh edge"}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_input_raises_value_error(name):
+    with pytest.raises(ValueError, match=MALFORMED_MESSAGES.get(name)):
+        MALFORMED[name]()
