@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, repeat
-from operator import and_, or_, sub
+from operator import add, and_, lt, mul, or_, sub
 
 # Doubled coordinates: a point is a tuple of ints, true value times two.
 Point = tuple
@@ -162,13 +162,37 @@ def _field_list(items, field: str) -> list:
     return list(it)
 
 
-def _edge_codes(edges: list, index: dict, n: int) -> set:
+def _keys(pts: list, k: int) -> tuple:
+    """Integer keys of the points, in order, and the key steps of mesh edges.
+
+    A point's key reads its coordinates as the digits of a number in
+    radix R = 2 * spread + 5, first axis most significant, where spread
+    is the largest coordinate range over all axes.  Every digit
+    difference is at most spread < R / 2, so the sign of a key
+    difference is that of the first differing coordinate: keys sort as
+    their points do, and equal keys mean equal points.  R is odd, so
+    balanced-radix digits are unique: two keys differ by +-2 * R**m
+    exactly when the points differ by 2 on one axis alone, that is,
+    exactly when they are mesh neighbours.
+    """
+    cols = tuple(zip(*pts))
+    radix = 2 * max(map(sub, map(max, cols), map(min, cols)), default=0) + 5
+    key = cols[0] if cols else ()
+    for col in cols[1:]:
+        key = tuple(map(add, map(mul, key, repeat(radix)), col))
+    steps = frozenset(chain.from_iterable((2 * radix**m, -2 * radix**m) for m in range(k)))
+    return key, steps
+
+
+def _edge_codes(edges: list, index: dict, key: tuple, steps: frozenset) -> set:
     """Codes ``i * n + j`` (i < j) of the edges' endpoint positions in ``index``.
 
     The edges are walked in input order and the first bad one is named
-    in a ValueError.
+    in a ValueError.  An edge is a mesh edge when its endpoints' keys
+    (see ``_keys``) differ by one of ``steps``.
     """
     get = index.get
+    n = len(index)
     codes = set()
     for e in edges:
         try:
@@ -181,7 +205,7 @@ def _edge_codes(edges: list, index: dict, n: int) -> set:
             i = j = None
         if i is None or j is None:
             raise ValueError(f"edge {a!r} -- {b!r} has an endpoint outside the vertex set")
-        if _l1(a, b) != 2:
+        if key[j] - key[i] not in steps:
             raise ValueError(
                 f"edge {a!r} -- {b!r} is not a mesh edge (doubled distance {_l1(a, b)})"
             )
@@ -193,23 +217,30 @@ class MeshGraph:
     """Immutable graph whose vertices sit on one mesh lattice.
 
     Vertices and edges are canonicalised at construction: vertices are
-    deduplicated and sorted lexicographically, edges are stored as
-    sorted endpoint pairs in sorted order.  Every edge must join two
-    stored vertices at doubled distance exactly 2.
+    deduplicated and sorted lexicographically, edges are sorted
+    endpoint pairs in sorted order.  Every edge must join two stored
+    vertices at doubled distance exactly 2.
 
-    The graph keeps one vertex index (point to position in ``vertices``)
-    and one adjacency over positions.  Positions follow the
+    The graph keeps one vertex index (point to position in ``vertices``),
+    one adjacency over positions and the edge count.  The constructor
+    validates all vertices in one pass and gives each an integer key
+    that sorts as the point does (see ``_keys``).  A strictly ascending
+    vertex list (every canonical graph JSON holds one) is already sorted
+    and free of duplicates and is kept as it is; anything else is sorted
+    by key.  Each edge is tested by the difference of its endpoints'
+    keys, not by a distance sum.  Positions follow the
     lexicographic vertex order, so an edge between positions i < j
     sorts as the integer code ``i * n + j`` exactly as its point pair
-    sorts: the constructor validates all vertices in one pass, sorts the
-    edges as codes and builds ``edges`` and the adjacency from the sorted
-    codes.  Each adjacency row is therefore ascending (a vertex's lower
-    neighbours come first, from the codes below its own row), so
-    ``neighbors`` returns sorted points.  Only this module reads the
-    stored index and adjacency.
+    sorts: the edges are sorted as codes and the adjacency is built from
+    the sorted codes.  Each adjacency row is therefore ascending (a
+    vertex's lower neighbours come first, from the codes below its own
+    row), so ``neighbors`` returns sorted points.  No edge tuple is
+    stored: ``edges`` builds the sorted pairs from the adjacency on
+    each access, and ``edge_count`` reads the count.  Only this module
+    reads the stored index and adjacency.
     """
 
-    __slots__ = ("parity", "k", "vertices", "edges", "_index", "_iadj")
+    __slots__ = ("parity", "k", "vertices", "_edge_count", "_index", "_iadj")
 
     def __init__(self, parity: LatticeParity, k: int, vertices, edges):
         _need_parity(parity)
@@ -221,22 +252,24 @@ class MeshGraph:
             pts = None
         if pts is None or not _points_valid(pts, k, parity):
             pts = [validate_point(v, k, parity) for v in vertices]
-        vts = tuple(sorted(set(pts)))
+        key, steps = _keys(pts, k)
+        if all(map(lt, key, key[1:])):  # already sorted and free of duplicates
+            vts = tuple(pts)
+        else:
+            at = dict(zip(key, pts))
+            key = sorted(at)
+            vts = tuple(map(at.__getitem__, key))
         n = len(vts)
         index = dict(zip(vts, range(n)))
-        codes = sorted(_edge_codes(_field_list(edges, "edges"), index, n))
-        lo = [c // n for c in codes]
-        hi = [c % n for c in codes]
+        codes = sorted(_edge_codes(_field_list(edges, "edges"), index, key, steps))
         iadj = [[] for _ in vts]
-        for i, j in zip(lo, hi):
+        for i, j in zip([c // n for c in codes], [c % n for c in codes]):
             iadj[i].append(j)
             iadj[j].append(i)
-        at = vts.__getitem__
-        canon = tuple(zip(map(at, lo), map(at, hi)))
         self.parity = parity
         self.k = k
         self.vertices = vts
-        self.edges = canon
+        self._edge_count = len(codes)
         self._index = index
         self._iadj = tuple(map(tuple, iadj))
 
@@ -247,23 +280,31 @@ class MeshGraph:
             raise AttributeError("MeshGraph is immutable")
         object.__setattr__(self, name, value)
 
+    @property
+    def edges(self) -> tuple:
+        """Sorted endpoint pairs in sorted order, built from the adjacency."""
+        verts = self.vertices
+        return tuple((verts[i], verts[j])
+                     for i, row in enumerate(self._iadj) for j in row if j > i)
+
     def __eq__(self, other):
         if not isinstance(other, MeshGraph):
             return NotImplemented
+        # Equal sorted vertices and equal adjacency mean equal edges.
         return (
             self.parity is other.parity
             and self.k == other.k
             and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self._iadj == other._iadj
         )
 
     def __hash__(self):
-        return hash((self.parity, self.k, self.vertices, self.edges))
+        return hash((self.parity, self.k, self.vertices, self._iadj))
 
     def __repr__(self):
         return (
             f"MeshGraph(parity={self.parity.value}, k={self.k}, "
-            f"vertices={len(self.vertices)}, edges={len(self.edges)})"
+            f"vertices={len(self.vertices)}, edges={self._edge_count})"
         )
 
     def has_vertex(self, v: Point) -> bool:
@@ -283,6 +324,16 @@ class MeshGraph:
 
     def degree(self, v: Point) -> int:
         return len(self._iadj[self.index(v)])
+
+
+def edge_count(g: MeshGraph) -> int:
+    """Number of edges of ``g``, without building ``g.edges``."""
+    return g._edge_count
+
+
+def degrees(g: MeshGraph) -> list:
+    """Vertex degrees in the order of ``g.vertices``."""
+    return list(map(len, g._iadj))
 
 
 def _int_bfs(iadj, src: int) -> list:
@@ -338,8 +389,14 @@ def is_connected(g: MeshGraph) -> bool:
 def diameter(g: MeshGraph):
     """Exact diameter in hops, INFINITE when disconnected.
 
-    Trees are resolved with two sweeps; anything else falls back to a
-    full all-pairs scan, so keep an eye on graph size at call sites.
+    Trees are resolved with two sweeps.  Any other connected graph runs
+    a bit-parallel sweep from every source at once: row v is a bitmask
+    of the vertices within t hops of v, and the rows of step t + 1 are
+    each row ORed with its neighbours' rows.  The diameter is the first
+    t at which every row is full.  Each step costs one pass over the
+    adjacency, so the sweep takes diameter passes where an all-pairs
+    BFS takes n; the masks are n bits wide, so keep an eye on graph
+    size at call sites.
 
     Raises:
         ValueError: the graph has no vertices.
@@ -351,12 +408,19 @@ def diameter(g: MeshGraph):
     dist0 = _int_bfs(iadj, 0)
     if min(dist0) < 0:
         return INFINITE
-    if len(g.edges) == n - 1:
+    if g._edge_count == n - 1:
         # Connected with n-1 edges means a tree: the classic two-sweep
         # argument gives the exact diameter.
         far = max(range(n), key=dist0.__getitem__)
         return max(_int_bfs(iadj, far))
-    return max(max(_int_bfs(iadj, s)) for s in range(n))
+    full = (1 << n) - 1
+    rows = [1 << v for v in range(n)]
+    t = 0
+    while rows.count(full) < n:
+        at = rows.__getitem__
+        rows = [reduce(or_, map(at, nbrs), row) for row, nbrs in zip(rows, iadj)]
+        t += 1
+    return t
 
 
 def _centers(odd: bool, k: int) -> tuple:

@@ -98,6 +98,7 @@ from .lattice_core import (
     _need_int,
     _need_keys,
     diameter,
+    edge_count,
     max_degree,
     mesh_from_obj,
     mesh_to_obj,
@@ -594,7 +595,7 @@ def verify_witness(res: SolveResult, req: SolveRequest) -> bool:
             1 for v in w.vertices for axis in range(w.k)
             if w.has_vertex(v[:axis] + (v[axis] + 2,) + v[axis + 1:])
         )
-        if mesh_pairs != len(w.edges):
+        if mesh_pairs != edge_count(w):
             return False
     if len(w.vertices) > 1:
         d = diameter(w)

@@ -38,7 +38,9 @@ from .lattice_core import (
     MeshGraph,
     _need_int,
     _need_parity,
+    degrees,
     diameter,
+    edge_count,
     hop_counts,
     max_degree,
 )
@@ -85,11 +87,10 @@ def _degree_check(g: MeshGraph, cap_of, exact: bool = False) -> ConditionCheck:
 
     ``cap_of`` returns None for vertices the condition exempts.
     """
-    for v in g.vertices:
+    for v, d in zip(g.vertices, degrees(g)):
         cap = cap_of(v)
         if cap is None:
             continue
-        d = g.degree(v)
         if d > cap or (exact and d != cap):
             return ConditionCheck(
                 "degree-bound", False,
@@ -142,6 +143,7 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     # MeshGraph refuses any edge that is not a mesh edge, built or parsed.
     checks = [ConditionCheck("mesh-edges", True)]
     n = len(g.vertices)
+    m = edge_count(g)
 
     center_dists = [hop_counts(g, c) for c in cg.centers]
     connected = all(min(d) >= 0 for d in center_dists) if n > 1 else True
@@ -149,7 +151,7 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
 
     diam = None
     if family in ("g3", "edge", "cycle") or n <= DIAMETER_SCAN_LIMIT or (
-            connected and len(g.edges) == n - 1):
+            connected and m == n - 1):
         diam = diameter(g)
 
     if family in _STACKED_CAPS:
@@ -178,8 +180,7 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
             checks.append(ConditionCheck("free-pair", False, str(exc)))
     elif family == "edge":
         checks += [
-            _verdict("shape", n == 2 and len(g.edges) == 1,
-                     f"{n} vertices, {len(g.edges)} edges"),
+            _verdict("shape", n == 2 and m == 1, f"{n} vertices, {m} edges"),
             _verdict("diameter", diam == 1, f"diameter {diam}"),
         ]
     elif family == "cycle":
@@ -209,6 +210,9 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
 
 def _center_reach_even(cg, center_dists, p):
     dist = center_dists[0]
+    if min(dist) >= 0 and max(dist) <= p:
+        return ConditionCheck("center-reach", True)
+    # Walk only to name the first vertex out of reach.
     verts = cg.graph.vertices
     for i, d in enumerate(dist):
         if d < 0 or d > p:
@@ -239,6 +243,13 @@ def _center_reach_odd(cg, center_dists, p):
     # Measured on vertices away from the two centers; the pair itself
     # is covered by the separation check.
     d1, d2 = center_dists
+    near = list(map(min, d1, d2))
+    far = list(map(max, d1, d2))
+    for i in map(cg.graph.index, cg.centers):
+        near[i] = far[i] = 0
+    if min(near) >= 0 and max(near) <= p and max(far) <= p + 1:
+        return ConditionCheck("center-reach", True)
+    # Walk only to name the first vertex out of reach.
     verts = cg.graph.vertices
     skip = frozenset(cg.centers)
     for i in range(len(verts)):

@@ -1,9 +1,11 @@
 """Graph container, metric, and serialization behavior."""
 
+import builtins
 import copy
 import json
 import math
 import pickle
+import random
 import re
 
 import pytest
@@ -19,8 +21,10 @@ from meshddbs import (
     build_family,
     compare_bounds,
     count_points,
+    degrees,
     diameter,
     eccentricity,
+    edge_count,
     family_size,
     graph_from_json,
     graph_to_dot,
@@ -33,6 +37,7 @@ from meshddbs import (
     two_term_value,
     validate_point,
 )
+from meshddbs import lattice_core
 from meshddbs.lattice_core import true_coordinate
 from meshddbs.solver import request_from_json, result_from_json, result_to_json, solve_exact
 
@@ -171,6 +176,53 @@ def test_neighbors_come_in_sorted_order():
         assert all(v in g.neighbors(w) for w in ns)
 
 
+def _same_graph(a, b, cg):
+    """Assert graphs ``a`` and ``b`` agree in every public view and in JSON bytes."""
+    assert a == b
+    assert a.vertices == b.vertices
+    assert a.edges == b.edges
+    assert edge_count(a) == edge_count(b) == len(a.edges)
+    assert degrees(a) == [a.degree(v) for v in a.vertices] == [b.degree(v) for v in b.vertices]
+    for v in a.vertices:
+        assert a.neighbors(v) == b.neighbors(v)
+
+    def as_json(g):
+        return graph_to_json(CenteredGraph(g, cg.centers, cg.p, cg.family))
+
+    assert as_json(a) == as_json(b) == graph_to_json(cg)
+
+
+def test_shuffled_vertices_with_duplicates_give_the_ascending_graph():
+    cg = build_family("o", 3, p=4)
+    g = cg.graph
+    rng = random.Random(7)
+    verts = list(g.vertices) + rng.sample(g.vertices, 9)
+    edges = list(g.edges) + rng.sample(g.edges, 5)
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    shuffled = MeshGraph(ODD, 3, verts, [e[::-1] for e in edges[::2]] + edges[1::2])
+    _same_graph(shuffled, MeshGraph(ODD, 3, g.vertices, g.edges), cg)
+
+
+def test_ascending_vertices_with_a_repeat_take_the_sort_path(monkeypatch):
+    cg = build_family("eprime", 2, p=5)
+    g = cg.graph
+    sorts = []
+
+    def spy(xs):
+        sorts.append(type(xs))
+        return builtins.sorted(xs)
+
+    monkeypatch.setattr(lattice_core, "sorted", spy, raising=False)
+    kept = MeshGraph(EVEN, 2, g.vertices, g.edges)
+    assert dict not in sorts  # strictly ascending: kept as it is
+    verts = list(g.vertices)
+    verts.insert(6, verts[6])
+    again = MeshGraph(EVEN, 2, verts, g.edges)
+    assert dict in sorts  # one repeat: sorted like any other list
+    _same_graph(again, kept, cg)
+
+
 def test_bfs_distances_path():
     g = MeshGraph(EVEN, 1, [(-2,), (0,), (2,)], [((-2,), (0,)), ((0,), (2,))])
     assert bfs_distances(g, (0,)) == {(0,): 0, (-2,): 1, (2,): 1}
@@ -225,6 +277,50 @@ def test_eccentricity_star_center():
                   [((0, 0), (0, 2)), ((0, 0), (0, -2)), ((0, 0), (2, 0))])
     assert eccentricity(g, (0, 0)) == 1
     assert eccentricity(g, (2, 0)) == 2
+
+
+def _random_cyclic_graph(rng, k):
+    """A random connected mesh subgraph of a small box with at least one cycle."""
+    side = 5 if k == 2 else 3
+    box = [tuple(2 * rng.randrange(side) for _ in range(k)) for _ in range(rng.randrange(8, 60))]
+    g = MeshGraph(EVEN, k, box, [(a, b) for a in box for b in box
+                                 if a < b and l1_distance(a, b) == 2])
+    # the component of the first vertex, with a random spanning tree and random extra edges
+    seen = {g.vertices[0]}
+    tree = []
+    frontier = [g.vertices[0]]
+    while frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        for w in g.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                tree.append((v, w))
+                frontier.append(w)
+    extra = [e for e in g.edges if e[0] in seen and rng.random() < 0.5]
+    return MeshGraph(EVEN, k, seen, tree + extra)
+
+
+def test_bit_parallel_diameter_equals_the_all_pairs_maximum():
+    rng = random.Random(11)
+    cyclic = 0
+    for trial in range(300):
+        g = _random_cyclic_graph(rng, 2 + trial % 3)
+        if edge_count(g) == len(g.vertices) - 1:
+            continue  # a tree takes the two sweeps
+        cyclic += 1
+        assert diameter(g) == max(eccentricity(g, v) for v in g.vertices)
+    assert cyclic >= 100
+
+
+@pytest.mark.parametrize("family, k, p, want", [
+    ("oprime", 2, 3, 7), ("oprime", 2, 12, 25), ("o", 3, 3, 7), ("o", 3, 6, 13),
+    ("o", 4, 3, 7), ("o", 4, 4, 9), ("oprime", 4, 5, 11), ("o", 4, 6, 13),
+])
+def test_diameter_of_the_cyclic_verify_cells(family, k, p, want):
+    # the cells of the seed-1 benchmark sweep whose graphs are not trees
+    g = build_family(family, k, p).graph
+    assert edge_count(g) > len(g.vertices) - 1
+    assert diameter(g) == want == max(eccentricity(g, v) for v in g.vertices)
 
 
 def test_centered_graph_validates_center():

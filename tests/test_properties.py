@@ -22,7 +22,7 @@ from meshddbs import (
     validate_point,
     verify_witness,
 )
-from meshddbs.lattice_core import MeshGraph, _points_valid
+from meshddbs.lattice_core import MeshGraph, _keys, _points_valid
 from meshddbs.formulas import BallSpec, ball_enumerate
 from meshddbs.solver import (
     _Budget,
@@ -222,6 +222,27 @@ def test_int_subclass_entries_take_the_point_by_point_path():
     g = MeshGraph(EVEN, 2, pts, [tuple(pts)])
     assert g.vertices == ((0, 0), (2, 0))
     assert g.degree((0, 0)) == 1
+
+
+@given(parities, st.integers(1, 4), st.data())
+@settings(max_examples=120, deadline=None)
+def test_key_step_test_matches_doubled_distance_two(parity, k, data):
+    first = st.integers(-100, 99).map(lambda c: 2 * c + (parity is ODD))
+    rest = st.integers(-100, 100).map(lambda c: 2 * c)
+    pts = data.draw(st.lists(st.tuples(first, *[rest] * (k - 1)), min_size=1, max_size=8))
+    # Offsets of doubled taxicab length 2 (one axis), 4 (two axes or one) and 0.
+    axes = st.integers(0, k - 1)
+    for _ in range(data.draw(st.integers(0, 12))):
+        v = list(data.draw(st.sampled_from(pts)))
+        for axis in data.draw(st.lists(axes, min_size=1, max_size=2)):
+            v[axis] += data.draw(st.sampled_from([-2, 2]))
+        pts.append(tuple(v))
+    key, steps = _keys(pts, k)
+    for a, ka in zip(pts, key):
+        for b, kb in zip(pts, key):
+            assert (kb - ka in steps) == (l1_distance(a, b) == 2), (a, b)
+            # keys sort as their points do, and only equal points share one
+            assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
 
 
 # Valid JSON texts and their parsers; the fuzz test below mutates them.

@@ -13,6 +13,7 @@ from meshddbs.solver import request_to_json, result_to_obj
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER_DIFF = ROOT / "tools" / "solver_diff.py"
+AB_TIME = ROOT / "tools" / "ab_time.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 #: sha256 of the default output of tools/solver_diff.py (134 lines) with
@@ -113,3 +114,13 @@ def test_bound_table_construction_never_beats_a_proven_optimum():
         assert built[k, delta, d] <= optimum, (k, delta, d)
     for key, size in {(2, 4, 7): 32, (2, 4, 8): 41, (3, 6, 4): 25}.items():
         assert built[key] == proven[key] == size
+
+
+def test_ab_time_compares_a_checkout_with_itself():
+    argv = [sys.executable, str(AB_TIME), str(ROOT), str(ROOT),
+            "--workload", "verify_sweep", "--small", "--reps", "2"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["base", "change", "ratio"]
+    assert "12 items x 2 passes" in lines[0]

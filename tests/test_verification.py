@@ -104,13 +104,13 @@ def test_g3_star_fails_only_free_pair():
     assert [c.name for c in rep.checks if not c.passed] == ["free-pair"]
 
 
-def _odd_core_with(drop=(), add=()):
-    """``o`` at k=2, p=4 with edges ``drop`` removed and leaves ``add`` hung on."""
-    full = build_family("o", 2, p=4)
+def _core_with(family, drop=(), add=()):
+    """``family`` at k=2, p=4 with edges ``drop`` removed and leaves ``add`` hung on."""
+    full = build_family(family, 2, p=4)
     g = full.graph
     verts = set(g.vertices) | {leaf for _, leaf in add}
     edges = (set(g.edges) - set(drop)) | set(add)
-    return CenteredGraph(MeshGraph(ODD, 2, verts, edges), full.centers, 4, "o")
+    return CenteredGraph(MeshGraph(g.parity, 2, verts, edges), full.centers, 4, family)
 
 
 def _reach_witness(cg):
@@ -121,14 +121,35 @@ def _reach_witness(cg):
 
 def test_odd_reach_names_an_unreachable_vertex():
     # (-7, -2) is a leaf hanging from (-5, -2); cut it loose
-    cg = _odd_core_with(drop=[((-7, -2), (-5, -2))])
+    cg = _core_with("o", drop=[((-7, -2), (-5, -2))])
     assert _reach_witness(cg) == "(-7, -2) unreachable"
 
 
 def test_odd_reach_names_a_vertex_too_far_out():
     # one step beyond the leaf (-7, -2), at distances 4 and 5
-    cg = _odd_core_with(add=[((-7, -2), (-9, -2))])
+    cg = _core_with("o", add=[((-7, -2), (-9, -2))])
     assert _reach_witness(cg) == "(-9, -2) at distances 5 and 6 from the centers"
+
+
+def test_odd_reach_names_a_vertex_too_far_from_the_other_center():
+    # the centers are joined by a three-hop detour; (-3, 0) is one hop
+    # from the left center, within p = 2, but four from the right one
+    path = [(-3, 0), (-1, 0), (-1, 2), (1, 2), (1, 0)]
+    g = MeshGraph(ODD, 2, path, list(zip(path, path[1:])))
+    cg = CenteredGraph(g, ((-1, 0), (1, 0)), 2, "o")
+    assert _reach_witness(cg) == "(-3, 0) at distances 1 and 4 from the centers"
+
+
+def test_even_reach_names_a_vertex_one_step_past_the_rim():
+    # (-6, -2) sits on the rim, p = 4 hops out; hang a leaf beyond it
+    cg = _core_with("e", add=[((-6, -2), (-8, -2))])
+    assert _reach_witness(cg) == "(-8, -2) at distance 5 from the center"
+
+
+def test_even_reach_names_a_cut_off_vertex():
+    # (-6, -2) is a leaf hanging from (-4, -2); cut it loose
+    cg = _core_with("e", drop=[((-6, -2), (-4, -2))])
+    assert _reach_witness(cg) == "(-6, -2) at distance inf from the center"
 
 
 # sha256 over the report_lines of every build on REPORT_GRID that the

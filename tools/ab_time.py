@@ -1,0 +1,106 @@
+"""Time two checkouts on one benchmark workload, in one interpreter.
+
+    python3 tools/ab_time.py BASE CHANGE --workload verify_sweep --seed 1 --reps 14
+
+Each side loads the ``meshddbs`` package from its own ``src/`` and its
+own copy of ``perfbench/workloads.py``, so each runs its own code on
+inputs made by its own package (a ``LatticeParity`` of one package is
+refused by the other).  The two sides take turns, and the order flips
+on every repetition, so slow drift of the machine falls on both.  Every
+pass is checked by the side's own oracle, outside the clock.
+
+For each side the script prints the sum over items of the per-item
+median time and of the per-item minimum, then the ratios CHANGE/BASE;
+below 1 means CHANGE is faster.  The exit code is 1 when any operation
+of either side failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+
+
+def _package_modules() -> dict:
+    return {name: mod for name, mod in sys.modules.items()
+            if name == "meshddbs" or name.startswith("meshddbs.")}
+
+
+class Side:
+    """One checkout's package and workloads module, swapped in on demand."""
+
+    def __init__(self, root: Path, label: str):
+        self.root = root.resolve()
+        self.label = label
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.path.insert(0, str(self.root / "src"))
+        try:
+            spec = importlib.util.spec_from_file_location(
+                f"ab_workloads_{label}", self.root / "perfbench" / "workloads.py")
+            self.workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(self.workloads)
+        finally:
+            sys.path.pop(0)
+        self.modules = _package_modules()
+        if not self.modules["meshddbs"].__file__.startswith(str(self.root)):
+            raise SystemExit(f"{label}: meshddbs was not imported from {self.root}/src")
+
+    def activate(self):
+        """Make this side's package the one ``import meshddbs`` finds."""
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(self.modules)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="root of the first checkout")
+    parser.add_argument("change", type=Path, help="root of the second checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--reps", type=int, default=14, help="passes per side")
+    parser.add_argument("--small", action="store_true", help="the small inputs of the workload")
+    args = parser.parse_args(argv)
+
+    sides = [Side(args.base, "base"), Side(args.change, "change")]
+    runs = []
+    for side in sides:
+        side.activate()
+        wl = side.workloads.WORKLOADS[args.workload]
+        items = wl.inputs(args.seed, small=args.small)
+        runs.append((wl, items, side.workloads.plain_api(), []))
+
+    failed = 0
+    for rep in range(args.reps):
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        for s in order:
+            wl, items, api, times = runs[s]
+            sides[s].activate()
+            gc.collect()
+            pass_times, pass_failed, _ = sides[s].workloads.run_pass(wl, items, api)
+            times.append(pass_times)
+            failed += pass_failed
+
+    sums = []
+    for side, (_, items, _, times) in zip(sides, runs):
+        per_item = list(zip(*times))
+        med = sum(map(statistics.median, per_item))
+        low = sum(map(min, per_item))
+        sums.append((med, low))
+        print(f"{side.label} {side.root}: {len(items)} items x {args.reps} passes, "
+              f"sum of medians {med:.4f} s, sum of minima {low:.4f} s")
+    (med_a, low_a), (med_b, low_b) = sums
+    print(f"ratio change/base: medians {med_b / med_a:.3f}, minima {low_b / low_a:.3f}")
+    if failed:
+        print(f"{failed} operations failed", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
