@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, repeat
-from operator import add, and_, lt, mul, or_, sub
+from operator import add, and_, mul, or_, sub
 
 # Doubled coordinates: a point is a tuple of ints, true value times two.
 Point = tuple
@@ -224,15 +224,13 @@ class MeshGraph:
     The graph keeps one vertex index (point to position in ``vertices``),
     one adjacency over positions and the edge count.  The constructor
     validates all vertices in one pass and gives each an integer key
-    that sorts as the point does (see ``_keys``).  A strictly ascending
-    vertex list (every canonical graph JSON holds one) is already sorted
-    and free of duplicates and is kept as it is; anything else is sorted
-    by key.  Each edge is tested by the difference of its endpoints'
-    keys, not by a distance sum.  Positions follow the
-    lexicographic vertex order, so an edge between positions i < j
-    sorts as the integer code ``i * n + j`` exactly as its point pair
-    sorts: the edges are sorted as codes and the adjacency is built from
-    the sorted codes.  Each adjacency row is therefore ascending (a
+    that sorts as the point does (see ``_keys``); the vertices are
+    deduplicated and sorted by key.  Each edge is tested by the
+    difference of its endpoints' keys, not by a distance sum.  Positions
+    follow the lexicographic vertex order, so an edge between positions
+    i < j sorts as the integer code ``i * n + j`` exactly as its point
+    pair sorts: the edges are sorted as codes and the adjacency is built
+    from the sorted codes.  Each adjacency row is therefore ascending (a
     vertex's lower neighbours come first, from the codes below its own
     row), so ``neighbors`` returns sorted points.  No edge tuple is
     stored: ``edges`` builds the sorted pairs from the adjacency on
@@ -253,12 +251,9 @@ class MeshGraph:
         if pts is None or not _points_valid(pts, k, parity):
             pts = [validate_point(v, k, parity) for v in vertices]
         key, steps = _keys(pts, k)
-        if all(map(lt, key, key[1:])):  # already sorted and free of duplicates
-            vts = tuple(pts)
-        else:
-            at = dict(zip(key, pts))
-            key = sorted(at)
-            vts = tuple(map(at.__getitem__, key))
+        at = dict(zip(key, pts))
+        key = sorted(at)
+        vts = tuple(map(at.__getitem__, key))
         n = len(vts)
         index = dict(zip(vts, range(n)))
         codes = sorted(_edge_codes(_field_list(edges, "edges"), index, key, steps))
@@ -386,16 +381,35 @@ def is_connected(g: MeshGraph) -> bool:
     return not g.vertices or min(_int_bfs(g._iadj, 0)) >= 0
 
 
+def _bit_parallel_diameter(iadj) -> int:
+    """Diameter of a connected graph, from every source at once.
+
+    Row v is a bitmask of the vertices within t hops of v, and the rows
+    of step t + 1 are each row ORed with its neighbours' rows; the
+    diameter is the first t at which every row is full.
+    """
+    n = len(iadj)
+    full = (1 << n) - 1
+    rows = [1 << v for v in range(n)]
+    t = 0
+    while rows.count(full) < n:
+        at = rows.__getitem__
+        rows = [reduce(or_, map(at, nbrs), row) for row, nbrs in zip(rows, iadj)]
+        t += 1
+    return t
+
+
 def diameter(g: MeshGraph):
     """Exact diameter in hops, INFINITE when disconnected.
 
-    Trees are resolved with two sweeps.  Any other connected graph runs
-    a bit-parallel sweep from every source at once: row v is a bitmask
-    of the vertices within t hops of v, and the rows of step t + 1 are
-    each row ORed with its neighbours' rows.  The diameter is the first
-    t at which every row is full.  Each step costs one pass over the
-    adjacency, so the sweep takes diameter passes where an all-pairs
-    BFS takes n; the masks are n bits wide, so keep an eye on graph
+    Trees are resolved with two sweeps.  Any other connected graph takes
+    the cheaper of two exact scans: the bit-parallel sweep takes one
+    pass per unit of diameter, each costing about three BFS runs, and
+    the all-pairs scan takes n BFS runs.  The BFS from vertex 0 bounds
+    the diameter by twice its eccentricity, so the sweep runs when six
+    times that eccentricity is below n (compact graphs such as the odd
+    families) and the all-pairs scan otherwise (long cycles and paths).
+    Either way the work grows with n squared, so keep an eye on graph
     size at call sites.
 
     Raises:
@@ -413,14 +427,9 @@ def diameter(g: MeshGraph):
         # argument gives the exact diameter.
         far = max(range(n), key=dist0.__getitem__)
         return max(_int_bfs(iadj, far))
-    full = (1 << n) - 1
-    rows = [1 << v for v in range(n)]
-    t = 0
-    while rows.count(full) < n:
-        at = rows.__getitem__
-        rows = [reduce(or_, map(at, nbrs), row) for row, nbrs in zip(rows, iadj)]
-        t += 1
-    return t
+    if 6 * max(dist0) < n:
+        return _bit_parallel_diameter(iadj)
+    return max(max(_int_bfs(iadj, s)) for s in range(n))
 
 
 def _centers(odd: bool, k: int) -> tuple:

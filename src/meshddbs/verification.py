@@ -210,9 +210,6 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
 
 def _center_reach_even(cg, center_dists, p):
     dist = center_dists[0]
-    if min(dist) >= 0 and max(dist) <= p:
-        return ConditionCheck("center-reach", True)
-    # Walk only to name the first vertex out of reach.
     verts = cg.graph.vertices
     for i, d in enumerate(dist):
         if d < 0 or d > p:
@@ -243,13 +240,6 @@ def _center_reach_odd(cg, center_dists, p):
     # Measured on vertices away from the two centers; the pair itself
     # is covered by the separation check.
     d1, d2 = center_dists
-    near = list(map(min, d1, d2))
-    far = list(map(max, d1, d2))
-    for i in map(cg.graph.index, cg.centers):
-        near[i] = far[i] = 0
-    if min(near) >= 0 and max(near) <= p and max(far) <= p + 1:
-        return ConditionCheck("center-reach", True)
-    # Walk only to name the first vertex out of reach.
     verts = cg.graph.vertices
     skip = frozenset(cg.centers)
     for i in range(len(verts)):
