@@ -97,28 +97,14 @@ def validate_point(coords, k: int, parity: LatticeParity) -> Point:
     return pt
 
 
-def _points_valid(pts: list, k: int, parity: LatticeParity) -> bool:
-    """True when every tuple in ``pts`` passes ``validate_point``.
+def _all_ints(values) -> bool:
+    """True when every value is an int or an int subclass, and none a bool.
 
-    One pass over all entries in C-level builtins: the dimensions, the
-    entry types (exact ``int``, so bools fail, checked before any
-    arithmetic or hashing), then the parity bits of the first axis and
-    of the others.  False can also mean an entry that ``validate_point``
-    accepts but this test does not, such as an ``int`` subclass; the
-    caller then runs ``validate_point`` on each point.
+    The bulk form of the entry rule of ``validate_point`` and of the
+    index rule of ``mesh_from_obj``: it looks only at the set of types.
     """
-    if not pts:
-        return True
-    if set(map(len, pts)) != {k}:
-        return False
-    cols = tuple(zip(*pts))
-    if set(map(type, chain.from_iterable(cols))) != {int}:
-        return False
-    if reduce(or_, chain.from_iterable(cols[1:]), 0) & 1:
-        return False
-    if parity is LatticeParity.EVEN:
-        return not reduce(or_, cols[0]) & 1
-    return bool(reduce(and_, cols[0]) & 1)
+    types = set(map(type, values))
+    return bool not in types and all(issubclass(t, int) for t in types)
 
 
 def _l1(a: Point, b: Point) -> int:
@@ -162,8 +148,14 @@ def _field_list(items, field: str) -> list:
     return list(it)
 
 
-def _keys(pts: list, k: int) -> tuple:
+def _keys(pts: list, k: int, parity: LatticeParity):
     """Integer keys of the points, in order, and the key steps of mesh edges.
+
+    Returns None when some tuple in ``pts`` breaks a rule of
+    ``validate_point``.  The rules are tested on one transpose of the
+    points, in C-level builtins: the dimensions, the entry types (before
+    any arithmetic), then the parity bits of the first axis and of the
+    others.
 
     A point's key reads its coordinates as the digits of a number in
     radix R = 2 * spread + 5, first axis most significant, where spread
@@ -175,7 +167,16 @@ def _keys(pts: list, k: int) -> tuple:
     exactly when the points differ by 2 on one axis alone, that is,
     exactly when they are mesh neighbours.
     """
+    if set(map(len, pts)) - {k}:
+        return None
     cols = tuple(zip(*pts))
+    if not _all_ints(chain.from_iterable(cols)):
+        return None
+    if reduce(or_, chain.from_iterable(cols[1:]), 0) & 1:
+        return None
+    odd = parity is LatticeParity.ODD
+    if cols and (reduce(and_ if odd else or_, cols[0]) & 1) != odd:
+        return None
     radix = 2 * max(map(sub, map(max, cols), map(min, cols)), default=0) + 5
     key = cols[0] if cols else ()
     for col in cols[1:]:
@@ -184,16 +185,15 @@ def _keys(pts: list, k: int) -> tuple:
     return key, steps
 
 
-def _edge_codes(edges: list, index: dict, key: tuple, steps: frozenset) -> set:
-    """Codes ``i * n + j`` (i < j) of the edges' endpoint positions in ``index``.
+def _adjacency(edges: list, index: dict, key: tuple, steps: frozenset) -> tuple:
+    """Neighbour rows of the positions in ``index``: ascending, without repeats.
 
     The edges are walked in input order and the first bad one is named
     in a ValueError.  An edge is a mesh edge when its endpoints' keys
     (see ``_keys``) differ by one of ``steps``.
     """
     get = index.get
-    n = len(index)
-    codes = set()
+    rows = [set() for _ in index]
     for e in edges:
         try:
             a, b = map(tuple, e)
@@ -209,8 +209,9 @@ def _edge_codes(edges: list, index: dict, key: tuple, steps: frozenset) -> set:
             raise ValueError(
                 f"edge {a!r} -- {b!r} is not a mesh edge (doubled distance {_l1(a, b)})"
             )
-        codes.add(i * n + j if i < j else j * n + i)
-    return codes
+        rows[i].add(j)
+        rows[j].add(i)
+    return tuple(map(tuple, map(sorted, rows)))
 
 
 class MeshGraph:
@@ -222,20 +223,16 @@ class MeshGraph:
     vertices at doubled distance exactly 2.
 
     The graph keeps one vertex index (point to position in ``vertices``),
-    one adjacency over positions and the edge count.  The constructor
-    validates all vertices in one pass and gives each an integer key
-    that sorts as the point does (see ``_keys``); the vertices are
-    deduplicated and sorted by key.  Each edge is tested by the
-    difference of its endpoints' keys, not by a distance sum.  Positions
-    follow the lexicographic vertex order, so an edge between positions
-    i < j sorts as the integer code ``i * n + j`` exactly as its point
-    pair sorts: the edges are sorted as codes and the adjacency is built
-    from the sorted codes.  Each adjacency row is therefore ascending (a
-    vertex's lower neighbours come first, from the codes below its own
-    row), so ``neighbors`` returns sorted points.  No edge tuple is
-    stored: ``edges`` builds the sorted pairs from the adjacency on
-    each access, and ``edge_count`` reads the count.  Only this module
-    reads the stored index and adjacency.
+    one adjacency over positions and the edge count.  One scan of the
+    coordinate columns validates the vertices and gives each an integer
+    key that sorts as the point does (see ``_keys``); the vertices are
+    deduplicated and sorted by key.  One walk over the edges tests each
+    by the difference of its endpoints' keys and fills the neighbour
+    rows, which are then deduplicated and sorted, so ``neighbors``
+    returns sorted points.  No edge tuple is stored: ``edges`` builds
+    the sorted pairs from the adjacency on each access, and
+    ``edge_count`` reads the count.  Only this module reads the stored
+    index and adjacency.
     """
 
     __slots__ = ("parity", "k", "vertices", "_edge_count", "_index", "_iadj")
@@ -246,27 +243,25 @@ class MeshGraph:
         vertices = _field_list(vertices, "vertices")
         try:
             pts = list(map(tuple, vertices))
-        except TypeError:  # a vertex that is no sequence; validate_point names it
+        except TypeError:  # a vertex that is no sequence
             pts = None
-        if pts is None or not _points_valid(pts, k, parity):
-            pts = [validate_point(v, k, parity) for v in vertices]
-        key, steps = _keys(pts, k)
+        keyed = None if pts is None else _keys(pts, k, parity)
+        if keyed is None:
+            # Some point breaks a rule; validate_point names the first.
+            for v in vertices:
+                validate_point(v, k, parity)
+        key, steps = keyed
         at = dict(zip(key, pts))
         key = sorted(at)
         vts = tuple(map(at.__getitem__, key))
-        n = len(vts)
-        index = dict(zip(vts, range(n)))
-        codes = sorted(_edge_codes(_field_list(edges, "edges"), index, key, steps))
-        iadj = [[] for _ in vts]
-        for i, j in zip([c // n for c in codes], [c % n for c in codes]):
-            iadj[i].append(j)
-            iadj[j].append(i)
+        index = dict(zip(vts, range(len(vts))))
+        iadj = _adjacency(_field_list(edges, "edges"), index, key, steps)
         self.parity = parity
         self.k = k
         self.vertices = vts
-        self._edge_count = len(codes)
+        self._edge_count = sum(map(len, iadj)) // 2
         self._index = index
-        self._iadj = tuple(map(tuple, iadj))
+        self._iadj = iadj
 
     def __setattr__(self, name, value):
         # Slots are filled once, in slot order, by __init__ or when pickle
@@ -498,18 +493,13 @@ def mesh_to_obj(g: MeshGraph, centers=(), family: str = "", p: int = 0) -> dict:
 
 
 def _index_pairs_valid(pairs: list, n: int) -> bool:
-    """True when every entry of ``pairs`` is a list of two exact ints in [0, n).
-
-    False can also mean an index that ``_int_at_least`` accepts but this
-    test does not, such as an ``int`` subclass; the caller then checks
-    each pair.
-    """
+    """True when every entry of ``pairs`` is a list of two int indices in [0, n)."""
     if not pairs:
         return True
     if not all(map(isinstance, pairs, repeat(list))) or set(map(len, pairs)) != {2}:
         return False
     flat = list(chain.from_iterable(pairs))
-    return set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n
+    return _all_ints(flat) and min(flat) >= 0 and max(flat) < n
 
 
 def _need_keys(obj, what: str, keys) -> None:

@@ -197,15 +197,6 @@ def _bipartite_moore(delta: int, d: int) -> int:
     return 2 * sum((delta - 1) ** i for i in range(d))
 
 
-def _canonical(pt) -> bool:
-    # Origin, or first nonzero coordinate positive: the half of the
-    # ball that can follow a lexicographically minimal origin.
-    for c in pt:
-        if c:
-            return c > 0
-    return True
-
-
 def _reach(adj, src_bit, allowed, hops):
     """Vertices within ``hops`` of ``src_bit`` inside ``allowed``, and their BFS layers.
 
@@ -471,7 +462,10 @@ class _Search:
 def _region(k, bound):
     """The canonical half ball of radius ``bound`` and its mesh adjacency bitmasks."""
     ball = formulas.ball_enumerate(formulas.BallSpec(LatticeParity.EVEN, k, bound))
-    pts = sorted(pt for pt in ball if _canonical(pt))
+    # The origin and the points whose first nonzero coordinate is
+    # positive, i.e. pt >= the origin: the half of the ball that can
+    # follow a lexicographically minimal origin.
+    pts = sorted(pt for pt in ball if pt >= (0,) * k)
     pos = {pt: i for i, pt in enumerate(pts)}
     adj = [0] * len(pts)
     for i, pt in enumerate(pts):

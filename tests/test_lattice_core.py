@@ -150,6 +150,13 @@ def test_graph_structural_equality():
     assert hash(a) == hash(b)
 
 
+def test_graph_equality_with_a_non_graph_and_repr():
+    g = MeshGraph(EVEN, 2, [(0, 0), (2, 0)], [((0, 0), (2, 0))])
+    assert g.__eq__(5) is NotImplemented
+    assert (g == 5) is False
+    assert repr(g) == "MeshGraph(parity=even, k=2, vertices=2, edges=1)"
+
+
 def test_neighbors_and_degree():
     g = MeshGraph(EVEN, 2, [(0, 0), (0, 2), (2, 0)],
                   [((0, 0), (0, 2)), ((0, 0), (2, 0))])

@@ -22,7 +22,7 @@ from meshddbs import (
     validate_point,
     verify_witness,
 )
-from meshddbs.lattice_core import MeshGraph, _keys, _points_valid
+from meshddbs.lattice_core import MeshGraph, _index_pairs_valid, _int_at_least, _keys
 from meshddbs.formulas import BallSpec, ball_enumerate
 from meshddbs.solver import (
     _Budget,
@@ -185,16 +185,24 @@ def test_canonicalisation_matches_naive_reference(parity, k, p, data):
         MeshGraph(parity, k, verts, edges)
 
 
+#: An int subclass whose members are the doubled coordinates -9..9.
+Coord = IntEnum("Coord", {f"C{c + 9}": c for c in range(-9, 10)})
+
 # Point entries that validate_point accepts or refuses, nested lists included.
-entries = st.one_of(st.integers(-6, 6), st.booleans(), st.none(), st.floats(-4, 4),
-                    st.lists(st.integers(0, 2), max_size=1))
+entries = st.one_of(st.integers(-6, 6), st.sampled_from(Coord), st.booleans(), st.none(),
+                    st.floats(-4, 4), st.lists(st.integers(0, 2), max_size=1))
+
+
+def _forms(c):
+    """The int ``c``, its ``Coord`` member and, for 0 and 1, the bool of that value."""
+    return st.sampled_from([c, Coord(c)] + [bool(c)] * (c in (0, 1)))
 
 
 @given(parities, st.integers(1, 3), st.data())
 @settings(max_examples=150, deadline=None)
 def test_bulk_point_test_agrees_with_validate_point(parity, k, data):
-    first = st.integers(-4, 4).map(lambda c: 2 * c + (parity is ODD))
-    rest = st.integers(-4, 4).map(lambda c: 2 * c)
+    first = st.integers(-4, 4).map(lambda c: 2 * c + (parity is ODD)).flatmap(_forms)
+    rest = st.integers(-4, 4).map(lambda c: 2 * c).flatmap(_forms)
     good = st.tuples(first, *[rest] * (k - 1))
     bad = st.lists(entries, min_size=max(k - 1, 0), max_size=k + 1).map(tuple)
     pts = data.draw(st.lists(st.one_of(good, good, bad), max_size=8))
@@ -206,22 +214,31 @@ def test_bulk_point_test_agrees_with_validate_point(parity, k, data):
             return False
         return True
 
-    assert _points_valid(pts, k, parity) == all(map(valid, pts))
+    assert (_keys(pts, k, parity) is not None) == all(map(valid, pts))
 
 
-class Axis(IntEnum):
-    ZERO = 0
-    TWO = 2
-
-
-def test_int_subclass_entries_take_the_point_by_point_path():
-    # validate_point accepts int subclasses; the bulk test does not, so
-    # MeshGraph falls back to validate_point, which accepts them.
-    pts = [(Axis.ZERO, 0), (Axis.TWO, 0)]
-    assert not _points_valid(pts, 2, EVEN)
+def test_int_subclass_entries_pass_the_bulk_test():
+    # validate_point accepts int subclasses, and so does the bulk test.
+    pts = [(Coord(0), 0), (Coord(2), 0)]
+    assert _keys(pts, 2, EVEN) is not None
     g = MeshGraph(EVEN, 2, pts, [tuple(pts)])
     assert g.vertices == ((0, 0), (2, 0))
     assert g.degree((0, 0)) == 1
+
+
+@given(st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_index_pair_test_agrees_with_the_pair_loop(n, data):
+    index = st.one_of(st.integers(-1, 5).flatmap(_forms), st.none(), st.floats(0, 4))
+    two = st.lists(index, min_size=2, max_size=2)
+    pair = st.one_of(two, two, st.lists(index, max_size=3), st.tuples(index, index), st.none())
+    pairs = data.draw(st.lists(pair, max_size=5))
+
+    def valid(pair):  # the per-pair loop of mesh_from_obj
+        return (isinstance(pair, list) and len(pair) == 2
+                and all(_int_at_least(i, 0) and i < n for i in pair))
+
+    assert _index_pairs_valid(pairs, n) == all(map(valid, pairs))
 
 
 @given(parities, st.integers(1, 4), st.data())
@@ -237,7 +254,7 @@ def test_key_step_test_matches_doubled_distance_two(parity, k, data):
         for axis in data.draw(st.lists(axes, min_size=1, max_size=2)):
             v[axis] += data.draw(st.sampled_from([-2, 2]))
         pts.append(tuple(v))
-    key, steps = _keys(pts, k)
+    key, steps = _keys(pts, k, parity)
     for a, ka in zip(pts, key):
         for b, kb in zip(pts, key):
             assert (kb - ka in steps) == (l1_distance(a, b) == 2), (a, b)

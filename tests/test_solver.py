@@ -153,6 +153,16 @@ def test_induced_mode_is_lower_bound_otherwise():
     assert any("lower bound" in n for n in res.notes)
 
 
+def test_induced_degree_cut_above_the_cap():
+    # At k=4, Delta=3 a search node can hold a vertex of induced degree
+    # 4 and its subtree is cut: 286 nodes, where 299 run without the cut.
+    req = SolveRequest(k=4, delta=3, diameter=2, mode="induced",
+                       region_cap=count_points(LatticeParity.EVEN, 4, 2))
+    res = solve_exact(req)
+    assert (res.optimum, res.optimal, res.explored) == (4, False, 286)
+    assert verify_witness(res, req)
+
+
 def _half_ball(k, bound):
     """The origin and the lexicographically positive points within ``bound`` hops, sorted."""
     steps = range(-2 * bound, 2 * bound + 1, 2)
