@@ -63,15 +63,36 @@ delta kept edges cuts the node.  The trims of the branching vertex are
 its branches, in the same order.  Only states without a feasible
 subset go, so the first feasible subset, and the witness, stay.
 
-Colour bound.  When no region vertex has more mesh neighbours than
-delta (delta = 2k, for any bound of 2 or more), shedding never runs,
-and a feasible set is a clique of the compatibility relation (region
-distance within the bound).  Each search node colours its candidates
-greedily in index order, every class an independent set of that
-relation; a clique holds at most one vertex per class, so fewer
-classes than the vertices still needed cut the node.  The bound cuts
-only subtrees that hold no feasible leaf and the candidate order is
-unchanged, so the search meets the same first witness.
+Colour bound.  At every delta a feasible set is a clique of the
+compatibility relation (region distance within the bound): candidates
+are filtered by it, and a distance inside a subgraph is at least the
+region distance.  Each search node colours its candidates greedily in
+index order, every class an independent set of that relation; a clique
+holds at most one vertex per class, so fewer classes than the vertices
+still needed cut the node.  The bound cuts only subtrees that hold no
+feasible leaf and the candidate order is unchanged, so the search meets
+the same first witness.  It runs only when no region vertex has more
+mesh neighbours than delta (delta = 2k, for any bound of 2 or more).
+Below that it cuts nodes too, but on the small degree-shedding
+instances the colouring costs more time than it saves.
+
+Symmetry.  Reflecting an axis or swapping two axes maps the mesh onto
+itself, so it maps a feasible subgraph onto a feasible one of the same
+size.  Translated so that its smallest vertex is the origin, the image
+lies in the half ball too, because chosen vertices are pairwise within
+the bound.  Within one size the first feasible set the search meets is
+the smallest one, so no such image of it sorts lower.  A leaf that would
+shed degrees is therefore cut when the image of its vertex set under a
+generator of the group (the k axis reflections and the k - 1 swaps of
+adjacent axes), translated back, sorts below the set itself: were the
+leaf feasible, a smaller feasible set would come first.  Any subset of
+the group is sound, and the generators catch nearly every leaf that all
+2^k k! - 1 maps would, at a fraction of the cost.  Region points carry
+integer keys that sort as the points do and turn translation into a
+subtraction (see ``_symmetry_keys``); the key lists are built once per
+solve.  Leaves that need no shedding are cheap and skip the test, so at
+delta = 2k and in induced mode the search is unchanged.  Only leaves
+are cut, so the optimum, the optimal flag and the witness stay.
 
 Induced degree cut.  In induced mode no edge is dropped, so a chosen
 vertex's degree is its number of chosen mesh neighbours, and it only
@@ -87,6 +108,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
+from operator import mul
 
 from . import formulas
 from .lattice_core import (
@@ -271,9 +293,13 @@ def _colours(compat, cand, need):
 
 
 class _Search:
-    """Fixed-size subset search over the canonical half ball."""
+    """Fixed-size subset search over the canonical half ball.
 
-    def __init__(self, adj, compat, delta, bound, mode, budget):
+    ``symmetry`` is the ``(keys, images)`` pair of ``_symmetry_keys`` for
+    the region that ``adj`` describes.
+    """
+
+    def __init__(self, adj, compat, delta, bound, mode, budget, symmetry):
         self.adj = adj
         self.compat = compat
         self.delta = delta
@@ -281,10 +307,10 @@ class _Search:
         self.mode = mode
         self.budget = budget
         self.target = 0
-        # No region vertex has more mesh neighbours than delta (delta = 2k
-        # once the bound is 2 or more), so shedding never runs and every
-        # feasible set is a clique of compat: the colour bound holds.
+        # Every feasible set is a clique of compat, but below delta = 2k
+        # the colouring costs more than it saves (see the module docstring).
         self.colour_bound = all(a.bit_count() <= delta for a in adj)
+        self.keys, self.images = symmetry
 
     def run(self, target):
         self.target = target
@@ -360,6 +386,8 @@ class _Search:
         for v in chosen:
             rows[v] = self.adj[v] & smask
         if max(rows[v].bit_count() for v in chosen) > self.delta:
+            if self._has_smaller_image(chosen):
+                return None
             rows = self._shed_degrees(rows, chosen, smask, [ls for _, ls in reaches])
             if rows is None:
                 return None
@@ -371,6 +399,21 @@ class _Search:
                 edges.append((v, b.bit_length() - 1))
                 m ^= b
         return chosen, edges
+
+    def _has_smaller_image(self, chosen):
+        """Whether a generator maps ``chosen`` onto a set the search visits first.
+
+        The image is translated back to the canonical frame by
+        subtracting its smallest key, then compared as a sorted key list
+        with the keys of ``chosen``, which index order already sorts.
+        """
+        own = [self.keys[v] for v in chosen]
+        for image in self.images:
+            moved = sorted([image[v] for v in chosen])
+            low = moved[0]
+            if [x - low for x in moved] < own:
+                return True
+        return False
 
     def _shed_degrees(self, rows, chosen, smask, layers):
         """Search edge subsets until every degree fits, distances allowing.
@@ -478,6 +521,28 @@ def _region(k, bound):
     return pts, adj
 
 
+def _symmetry_keys(pts, bound):
+    """Integer keys of the region points, and their images under each generator.
+
+    A point's key reads its doubled coordinates as signed digits in
+    radix 4 * bound + 1, first axis most significant.  Keys are linear,
+    so the key of a difference is the difference of the keys.  Two
+    points of the ball differ by at most 4 * bound in each coordinate,
+    less than the radix, so their keys compare as the points do.
+    ``images`` holds one key list per generator of the mesh's symmetry
+    group: the reflection of each axis, then the swap of each pair of
+    adjacent axes.
+    """
+    k = len(pts[0])
+    weights = [(4 * bound + 1) ** (k - 1 - a) for a in range(k)]
+    keys = [sum(map(mul, p, weights)) for p in pts]
+    # A reflection or a swap changes one or two digits of each key.
+    images = [[x - 2 * p[a] * w for x, p in zip(keys, pts)] for a, w in enumerate(weights)]
+    images += [[x + (p[a + 1] - p[a]) * (weights[a] - weights[a + 1]) for x, p in zip(keys, pts)]
+               for a in range(k - 1)]
+    return keys, images
+
+
 def _proves_optimum(req: SolveRequest) -> bool:
     """Whether a search that ran to the end proves its optimum.
 
@@ -526,7 +591,7 @@ def solve_exact(req: SolveRequest) -> SolveResult:
     compat = [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i) for i in range(n_r)]
 
     budget = _Budget(req.max_nodes, req.max_seconds)
-    search = _Search(adj, compat, delta, bound, req.mode, budget)
+    search = _Search(adj, compat, delta, bound, req.mode, budget, _symmetry_keys(pts, bound))
     n_hi = min(n_r, _bipartite_moore(delta, bound))
 
     found = None

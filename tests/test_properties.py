@@ -3,6 +3,7 @@
 import json
 import re
 from enum import IntEnum
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -29,6 +30,7 @@ from meshddbs.solver import (
     _reach,
     _region,
     _Search,
+    _symmetry_keys,
     request_from_json,
     request_to_json,
     result_from_json,
@@ -319,9 +321,9 @@ REGIONS = [(2, 3), (2, 4), (3, 2), (3, 3)]
 @settings(max_examples=100, deadline=None)
 def test_kept_search_reach_equals_fresh_reach(region, data):
     k, bound = region
-    adj = _region(k, bound)[1]
+    pts, adj = _region(k, bound)
     n = len(adj)
-    search = _Search(adj, None, 2 * k, bound, "exact", None)
+    search = _Search(adj, None, 2 * k, bound, "exact", None, _symmetry_keys(pts, bound))
     chosen = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=6)))
     smask = sum(1 << v for v in chosen)
     # uniform bits: each region vertex is allowed, then dropped, with odds 1/2
@@ -351,7 +353,7 @@ def test_kept_search_reach_equals_fresh_reach(region, data):
 @settings(max_examples=60, deadline=None)
 def test_kept_shed_layers_equal_fresh_layers(region, data):
     k, bound = region
-    adj = _region(k, bound)[1]
+    pts, adj = _region(k, bound)
     # grow a connected vertex set from a random start
     chosen = [data.draw(st.integers(0, len(adj) - 1))]
     smask = 1 << chosen[0]
@@ -366,7 +368,7 @@ def test_kept_shed_layers_equal_fresh_layers(region, data):
     chosen.sort()
     rows = [adj[v] & smask if smask >> v & 1 else 0 for v in range(len(adj))]
     hops = data.draw(st.integers(1, 2 * bound))
-    search = _Search(adj, None, 2 * k, hops, "exact", None)
+    search = _Search(adj, None, 2 * k, hops, "exact", None, _symmetry_keys(pts, bound))
     sources = chosen[:-1]
 
     def fresh(rows):
@@ -463,7 +465,8 @@ def test_shedding_finds_an_edge_subset_exactly_when_one_exists(region, data):
     # one or two below the largest degree, so that shedding has work;
     # at least 2: a cap of 1 fits no connected graph on 3 or more vertices
     delta = max(max(rows[v].bit_count() for v in chosen) - data.draw(st.integers(1, 2)), 2)
-    search = _Search(adj, None, delta, hops, "exact", _Budget(None, None))
+    search = _Search(adj, None, delta, hops, "exact", _Budget(None, None),
+                     _symmetry_keys(pts, bound))
     layers = [_reach(rows, 1 << v, smask, hops)[1] for v in chosen[:-1]]
     shed = search._shed_degrees(rows, chosen, smask, layers)
 
@@ -488,3 +491,55 @@ def test_shedding_finds_an_edge_subset_exactly_when_one_exists(region, data):
             assert all(shed[u] >> v & 1 for u in range(len(rows)) if shed[v] >> u & 1)
         assert all(shed[v].bit_count() <= delta for v in chosen)
         assert _spans(shed, chosen, smask, hops)
+
+
+def _canonical(pts):
+    """``pts`` translated so that the smallest is the origin, sorted."""
+    low = min(pts)
+    return sorted(tuple(a - b for a, b in zip(p, low)) for p in pts)
+
+
+#: (k, radius) of the symmetry oracle: k = 1..3 and every radius up to 4.
+SYMMETRY_REGIONS = [(k, d) for k in range(1, 4) for d in range(1, 5)]
+
+
+def test_symmetry_keys_sort_as_the_points():
+    # Canonical sets and their translated images lie in the half ball, so
+    # every comparison the leaf test makes is between two of its points.
+    for k, bound in SYMMETRY_REGIONS:
+        pts = _region(k, bound)[0]
+        keys = _symmetry_keys(pts, bound)[0]
+        for (p, kp), (q, kq) in product(zip(pts, keys), repeat=2):
+            assert (kp < kq) == (p < q), (k, bound, p, q)
+
+
+# About one drawn set in a hundred tells a key radix of bound + 1 from a sound one.
+@given(st.sampled_from(SYMMETRY_REGIONS), st.data())
+@settings(max_examples=500, deadline=None)
+def test_leaf_symmetry_test_matches_point_tuples(region, data):
+    k, bound = region
+    pts, adj = _region(k, bound)
+    every = (1 << len(pts)) - 1
+    compat = [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i) for i in range(len(pts))]
+    # a set of pairwise compatible vertices that holds the origin, as a leaf does
+    chosen = [0]
+    cand = compat[0]
+    for _ in range(data.draw(st.integers(0, 8))):
+        if not cand:
+            break
+        v = data.draw(st.sampled_from([i for i in range(len(pts)) if cand >> i & 1]))
+        chosen.append(v)
+        cand &= compat[v]
+    chosen.sort()
+    search = _Search(adj, compat, 1, bound, "exact", None, _symmetry_keys(pts, bound))
+    cut = search._has_smaller_image(chosen)
+
+    own = [pts[v] for v in chosen]
+    reflections = [lambda p, a=a: p[:a] + (-p[a],) + p[a + 1:] for a in range(k)]
+    swaps = [lambda p, a=a: p[:a] + (p[a + 1], p[a]) + p[a + 2:] for a in range(k - 1)]
+    assert cut == any(_canonical([g(p) for p in own]) < own for g in reflections + swaps)
+    # a set that leads its whole orbit under the signed permutations is never cut
+    orbit = [_canonical([tuple(s * p[a] for s, a in zip(signs, axes)) for p in own])
+             for axes in permutations(range(k)) for signs in product((1, -1), repeat=k)]
+    if min(orbit) == own:
+        assert not cut

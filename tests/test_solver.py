@@ -21,6 +21,7 @@ from meshddbs.solver import (
     _reach,
     _region,
     _Search,
+    _symmetry_keys,
     request_from_json,
     request_to_json,
     result_from_json,
@@ -86,10 +87,10 @@ def test_feasibility_is_not_monotone_in_size():
     # The 6-cycle fits degree 2 and diameter 3, but the only connected
     # 5-vertex graph of degree <= 2 in the bipartite mesh is the path of
     # diameter 4.  Refuting 5 says nothing about 6, so targets descend.
-    adj = _region(2, 3)[1]
+    pts, adj = _region(2, 3)
     every = (1 << len(adj)) - 1
     compat = [_reach(adj, 1 << i, every, 3)[0] & ~(1 << i) for i in range(len(adj))]
-    search = _Search(adj, compat, 2, 3, "exact", _Budget(None, None))
+    search = _Search(adj, compat, 2, 3, "exact", _Budget(None, None), _symmetry_keys(pts, 3))
     assert search.run(5) is None
     chosen, edges = search.run(6)
     assert (len(chosen), len(edges)) == (6, 6)
@@ -332,15 +333,15 @@ def test_default_region_cap_value():
 # ran out of budget before may change only to the answer the previous
 # code gives for that request without a budget.
 PINNED = [
-    (SolveRequest(k=2, delta=3, diameter=4), 10, True, 1048,
+    (SolveRequest(k=2, delta=3, diameter=4), 10, True, 1002,
      [[0, 0], [0, 2], [0, 4], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [4, 0], [4, 4]],
      [[0, 1], [1, 2], [1, 5], [3, 4], [4, 5], [4, 8], [5, 6], [6, 7], [6, 9]]),
-    (SolveRequest(k=2, delta=3, diameter=5, region_cap=61), 14, True, 9538,
+    (SolveRequest(k=2, delta=3, diameter=5, region_cap=61), 14, True, 8723,
      [[0, 0], [0, 2], [0, 4], [0, 6], [2, -2], [2, 0], [2, 2], [2, 4], [2, 6], [2, 8],
       [4, 0], [4, 2], [4, 4], [4, 6]],
      [[0, 1], [1, 2], [1, 6], [2, 3], [3, 8], [4, 5], [5, 6], [5, 10], [6, 7], [7, 8],
       [7, 12], [8, 9], [10, 11], [11, 12], [12, 13]]),
-    (SolveRequest(k=3, delta=4, diameter=3, region_cap=63), 10, True, 1953,
+    (SolveRequest(k=3, delta=4, diameter=3, region_cap=63), 10, True, 1913,
      [[0, 0, 0], [0, 0, 2], [2, -2, 0], [2, -2, 2], [2, 0, 0], [2, 0, 2], [2, 2, 0],
       [2, 2, 2], [4, 0, 0], [4, 0, 2]],
      [[0, 1], [0, 4], [1, 5], [2, 3], [2, 4], [3, 5], [4, 6], [4, 8], [5, 7], [5, 9],
@@ -350,7 +351,7 @@ PINNED = [
      [[0, 1], [0, 4], [1, 2], [1, 5], [3, 4], [4, 5], [5, 6], [6, 7], [6, 8]]),
     # The three below were recorded before the distance checks became
     # incremental.  Deep degree shedding:
-    (SolveRequest(k=3, delta=3, diameter=3, region_cap=63), 8, True, 6143,
+    (SolveRequest(k=3, delta=3, diameter=3, region_cap=63), 8, True, 5635,
      [[0, 0, 0], [0, 0, 2], [0, 0, 4], [0, 2, 0], [0, 2, 2], [0, 2, 4], [2, 0, 2],
       [2, 2, 2]],
      [[0, 1], [0, 3], [1, 2], [1, 6], [2, 5], [3, 4], [4, 5], [4, 7], [6, 7]]),
@@ -369,11 +370,20 @@ PINNED = [
     # node budget runs out:
     (SolveRequest(k=3, delta=3, diameter=4, max_nodes=8000, region_cap=129), 1, False,
      8000, [[0, 0, 0]], []),
+    # The benchmark's k3d4D4 frontier rung without its node budget; the
+    # witness was recorded before the leaf symmetry test:
+    (SolveRequest(k=3, delta=4, diameter=4, region_cap=129), 19, True, 214169,
+     [[0, 0, 0], [0, 0, 2], [0, 0, 4], [0, 2, 2], [2, -4, 2], [2, -2, 0], [2, -2, 2],
+      [2, -2, 4], [2, 0, 0], [2, 0, 2], [2, 0, 4], [2, 2, 0], [2, 2, 2], [2, 2, 4],
+      [2, 4, 2], [4, -2, 2], [4, 0, 0], [4, 0, 2], [4, 0, 4]],
+     [[0, 1], [0, 8], [1, 2], [1, 3], [1, 9], [2, 10], [4, 6], [5, 6], [5, 8], [6, 7],
+      [6, 9], [7, 10], [8, 11], [8, 16], [9, 12], [9, 17], [10, 13], [10, 18], [11, 12],
+      [12, 13], [12, 14], [15, 17], [16, 17], [17, 18]]),
 ]
 
 
 PINNED_IDS = ["k2d3D4", "k2d3D5", "k3d4D3", "k2d3D4-induced", "k3d3D3", "k2d4D7",
-              "k3d3D4-budget"]
+              "k3d3D4-budget", "k3d4D4"]
 
 
 @functools.cache
@@ -388,6 +398,11 @@ def test_pinned_search_results(req, optimum, optimal, explored, verts, edges):
     assert (res.optimum, res.optimal) == (optimum, optimal)
     witness = mesh_to_obj(res.witness)
     assert (witness["vertices"], witness["edges"]) == (verts, edges)
+
+
+@pytest.mark.parametrize("req", [pin[0] for pin in PINNED], ids=PINNED_IDS)
+def test_pinned_witnesses_verify(req):
+    assert verify_witness(_solved(req), req)
 
 
 @pytest.mark.parametrize("req,optimum,optimal,explored,verts,edges", PINNED,

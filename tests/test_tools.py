@@ -28,18 +28,18 @@ SOLVER_DIFF_ANSWER_SHA256 = "ed7fea4152614be62fadcaf933dbce88c54579002af3defb64f
 #: row per (k, delta) of the grid, D=1..5 with exact and induced mode
 #: alternating.  Exact pruning may lower these, never raise them.
 SOLVER_DIFF_EXPLORED = (
-    1048, 9538, 6143, 1953, 93, 413, 209, 7863, 8000, 8000, 8000, 139, 931, 500,
+    1002, 8723, 5635, 1913, 93, 413, 209, 7863, 8000, 8000, 8000, 139, 931, 500,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
     2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
-    2, 2, 9, 6, 15, 170, 35, 30, 89, 40,
-    2, 2, 25, 22, 235, 167, 1048, 931, 3000, 3000,
+    2, 2, 9, 6, 15, 170, 34, 30, 85, 40,
+    2, 2, 25, 22, 225, 167, 1002, 931, 3000, 3000,
     2, 2, 11, 11, 17, 17, 41, 41, 47, 47,
     2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
-    2, 2, 12, 6, 34, 60, 285, 90, 2297, 172,
-    2, 2, 177, 104, 3000, 1954, 3000, 3000, 3000, 3000,
-    2, 2, 113, 90, 1953, 3000, 3000, 3000, 3000, 3000,
-    2, 2, 75, 72, 1834, 1634, 3000, 3000, 3000, 3000,
+    2, 2, 11, 6, 31, 60, 255, 90, 2065, 172,
+    2, 2, 160, 104, 3000, 1954, 3000, 3000, 3000, 3000,
+    2, 2, 108, 90, 1913, 3000, 3000, 3000, 3000, 3000,
+    2, 2, 75, 72, 1805, 1634, 3000, 3000, 3000, 3000,
     2, 2, 24, 24, 64, 64, 209, 209, 1212, 1212,
 )
 
