@@ -38,9 +38,9 @@ follows the same recursions on counts alone: a stacked family is its
 centers plus both copies of every level, the enlarged ones add their
 innermost copies and a pendant count with its own recurrence, g3 is
 2 ceil(p/4) - 1 copies of its inner build, the cycle has 4p or 4p+2
-vertices and the edge 2.  Builder and size function share one
-precondition check per family, so both refuse the same arguments with
-the same message.
+vertices and the edge 2.  One table gives each family code its
+argument check, builder and size function, so ``build_family`` and
+``family_size`` refuse the same arguments with the same message.
 """
 
 from __future__ import annotations
@@ -298,9 +298,9 @@ def find_free_pair(g: MeshGraph) -> FreePair:
     return _free_pair(g.edges)
 
 
-def _g3_params(k: int, p: int) -> None:
-    """Raise the ValueError the g3 family gives for (k, p), if any."""
-    BuildParams(k, p)
+def _g3_params(k: int, p: int, parity: LatticeParity = EVEN) -> None:
+    """Raise the ValueError the g3 family gives for (k, p, parity), if any."""
+    BuildParams(k, p, parity)
     least = 4 ** (k - 1)
     if p < least:
         raise ValueError(
@@ -408,17 +408,38 @@ def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
 # Dispatch
 # ============================================================
 
-def _family_args(family: str, p, parity):
-    """Checks shared by ``build_family`` and ``family_size``; returns (p, parity)."""
+def _stacked_entry(family: str) -> tuple:
+    odd, enlarged = _STACKED_FLAGS[family]
+    return (BuildParams, lambda k, p, parity: _build_stacked(family, k, p),
+            lambda k, p, parity: _stack_size(odd, enlarged, k, p, {}))
+
+
+#: Per family code: argument check, builder and vertex count, each called as
+#: f(k, p, parity) once ``_family_args`` has settled p and parity and run the
+#: check.  Every check validates parity too.
+_FAMILIES = {
+    **{family: _stacked_entry(family) for family in _STACKED_FLAGS},
+    "g3": (_g3_params, lambda k, p, parity: build_degree_three(k, p),
+           lambda k, p, parity: _g3_size(k, p)),
+    "edge": (BuildParams, lambda k, p, parity: build_edge(k), lambda k, p, parity: 2),
+    "cycle": (_cycle_params, build_cycle, lambda k, p, parity: 4 * p + 2 * (parity is ODD)),
+}
+
+
+def _family_args(family: str, k, p, parity):
+    """Checks shared by ``build_family`` and ``family_size``; returns ((build, size), p, parity)."""
+    if family not in FAMILY_CODES:
+        raise ValueError(f"unknown family code {family!r}")
     if family == "edge":
         if p is not None and not (_int_at_least(p, 0) and p == 0):
             raise ValueError(f"family edge has no radius parameter, got p = {p!r}")
-        return 0, EVEN
-    if p is None:
+        p = 0
+    elif p is None:
         raise ValueError(f"family {family!r} needs a radius parameter p")
-    if family not in FAMILY_CODES:
-        raise ValueError(f"unknown family code {family!r}")
-    return p, parity if parity is not None else EVEN
+    parity = EVEN if parity is None else parity
+    check, *calls = _FAMILIES[family]
+    check(k, p, parity)
+    return calls, p, parity
 
 
 def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
@@ -430,14 +451,8 @@ def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
     Raises:
         ValueError: unknown family code or arguments the family rejects.
     """
-    p, parity = _family_args(family, p, parity)
-    if family == "edge":
-        return build_edge(k)
-    if family == "cycle":
-        return build_cycle(k, p, parity)
-    if family == "g3":
-        return build_degree_three(k, p)
-    return _build_stacked(family, k, p)
+    (build, _), p, parity = _family_args(family, k, p, parity)
+    return build(k, p, parity)
 
 
 def family_size(family: str, k: int, p=None, parity=None) -> int:
@@ -452,16 +467,5 @@ def family_size(family: str, k: int, p=None, parity=None) -> int:
     Raises:
         ValueError: unknown family code or arguments the family rejects.
     """
-    p, parity = _family_args(family, p, parity)
-    if family == "edge":
-        BuildParams(k, 0)
-        return 2
-    if family == "cycle":
-        _cycle_params(k, p, parity)
-        return 4 * p + 2 * (parity is ODD)
-    if family == "g3":
-        _g3_params(k, p)
-        return _g3_size(k, p)
-    BuildParams(k, p)
-    odd, enlarged = _STACKED_FLAGS[family]
-    return _stack_size(odd, enlarged, k, p, {})
+    (_, size), p, parity = _family_args(family, k, p, parity)
+    return size(k, p, parity)

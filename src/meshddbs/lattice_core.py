@@ -32,17 +32,23 @@ INFINITE = math.inf
 
 COORD_SCALE = 2
 
-FAMILY_CODES = ("e", "eprime", "o", "oprime", "g3", "edge", "cycle")
-
-#: Families whose graphs live on the odd lattice and carry two centers.
-ODD_FAMILIES = ("o", "oprime")
-
 
 class LatticeParity(Enum):
     """Which of the two lattices a graph lives on."""
 
     EVEN = "even"
     ODD = "odd"
+
+
+#: Lattice each family's graphs live on, which fixes their centers; None
+#: where the caller picks the lattice (the cycle).
+_FAMILY_LATTICE = {
+    "e": LatticeParity.EVEN, "eprime": LatticeParity.EVEN,
+    "o": LatticeParity.ODD, "oprime": LatticeParity.ODD,
+    "g3": LatticeParity.EVEN, "edge": LatticeParity.EVEN, "cycle": None,
+}
+
+FAMILY_CODES = tuple(_FAMILY_LATTICE)
 
 
 def _int_at_least(x, least: int) -> bool:
@@ -434,11 +440,6 @@ def _centers(odd: bool, k: int) -> tuple:
     return ((0,) * k,)
 
 
-def _expected_centers(family: str, parity: LatticeParity, k: int) -> tuple:
-    odd = family in ODD_FAMILIES or (family == "cycle" and parity is LatticeParity.ODD)
-    return _centers(odd, k)
-
-
 @dataclass(frozen=True)
 class CenteredGraph:
     """A built family member: graph plus centers, radius tag, family code.
@@ -459,7 +460,8 @@ class CenteredGraph:
         _need_int(self.p, 0, "radius parameter p")
         centers = tuple(sorted(tuple(c) for c in self.centers))
         object.__setattr__(self, "centers", centers)
-        expected = _expected_centers(self.family, self.graph.parity, self.graph.k)
+        lattice = _FAMILY_LATTICE[self.family] or self.graph.parity
+        expected = _centers(lattice is LatticeParity.ODD, self.graph.k)
         if centers != expected:
             raise ValueError(
                 f"family {self.family!r} on the {self.graph.parity.value} lattice "

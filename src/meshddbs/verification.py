@@ -32,7 +32,6 @@ from .constructions import (  # noqa: F401
 )
 from .lattice_core import (
     INFINITE,
-    ODD_FAMILIES,
     CenteredGraph,
     LatticeParity,
     MeshGraph,
@@ -132,10 +131,6 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     * ``edge``    exactly two vertices and one edge; diameter 1.
     * ``cycle``   connected with every degree exactly 2; 4p or 4p+2
       vertices by lattice parity; diameter exactly 2p or 2p+1.
-
-    Raises:
-        ValueError: unknown family code (guarded by CenteredGraph, but
-            kept here so hand-made inputs fail the same way).
     """
     g = cg.graph
     family = cg.family
@@ -150,7 +145,7 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     eccs = tuple(max(d) if min(d) >= 0 else INFINITE for d in center_dists)
 
     diam = None
-    if family in ("g3", "edge", "cycle") or n <= DIAMETER_SCAN_LIMIT or (
+    if family not in _STACKED_CAPS or n <= DIAMETER_SCAN_LIMIT or (
             connected and m == n - 1):
         diam = diameter(g)
 
@@ -160,7 +155,7 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
             _center_degree_check(cg, exact=p >= 1),
             _verdict("connected", connected, "graph splits"),
         ]
-        if family in ODD_FAMILIES:
+        if g.parity is LatticeParity.ODD:
             checks += [
                 _center_reach_odd(cg, center_dists, p),
                 _center_separation_check(cg, center_dists, p),
@@ -183,7 +178,7 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
             _verdict("shape", n == 2 and m == 1, f"{n} vertices, {m} edges"),
             _verdict("diameter", diam == 1, f"diameter {diam}"),
         ]
-    elif family == "cycle":
+    else:  # cycle
         odd = g.parity is LatticeParity.ODD
         checks += [
             _degree_check(g, lambda v: 2, exact=True) if connected
@@ -193,8 +188,6 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
             _verdict("diameter", diam == 2 * p + odd,
                      f"diameter {diam}, expected {2 * p + odd}"),
         ]
-    else:
-        raise ValueError(f"unknown family code {family!r}")
 
     return ConditionReport(
         family=family,

@@ -206,6 +206,11 @@ def test_build_family_dispatch():
         build_family("zzz", 2, p=3)
     with pytest.raises(ValueError):
         build_family("e", 2)  # radius required
+    # the code is checked before the radius
+    with pytest.raises(ValueError, match="unknown family code 'zzz'"):
+        build_family("zzz", 2)
+    with pytest.raises(ValueError, match="unknown family code 'zzz'"):
+        family_size("zzz", 2)
 
 
 # sha256 over graph_to_json(...) + "\n" for every (k, p) of STACKED_GRID,
@@ -275,7 +280,8 @@ def test_family_size_matches_build(family):
     ("g3", 3, 6), ("g3", 2, 3), ("g3", 1, 0), ("cycle", 1, 3), ("cycle", 2, 0),
     ("cycle", 2, 2, "odd"), ("e", 0, 3), ("oprime", 2, -1), ("o", 2, 2.5),
     ("eprime", True, 3), ("e", 2, True), ("edge", 2, 3), ("edge", 0), ("zzz", 2, 3),
-    ("e", 2), ("g3", 2),
+    ("e", 2), ("g3", 2), ("e", 2, 3, "odd"), ("edge", 2, None, "odd"), ("g3", 2, 8, 1),
+    ([], 2, 3),
 ])
 def test_family_size_refuses_like_the_builder(args):
     with pytest.raises(ValueError) as built:

@@ -382,6 +382,13 @@ def _to_odd_lattice(w):
     w.update(parity="odd", vertices=[[x + 1] + rest for x, *rest in w["vertices"]])
 
 
+def _retagged(family, tag):
+    """JSON of ``build_family(family, 2, p=4)`` relabelled ``"family": tag``."""
+    obj = json.loads(graph_to_json(build_family(family, 2, p=4)))
+    obj["family"] = tag
+    return json.dumps(obj)
+
+
 def _reverse_vertices(w):
     last = len(w["vertices"]) - 1
     w["vertices"].reverse()
@@ -470,6 +477,8 @@ MALFORMED = {
     ),
     "result-witness-odd": lambda: result_from_json(_witness_json(_to_odd_lattice)),
     "result-witness-unsorted": lambda: result_from_json(_witness_json(_reverse_vertices)),
+    "graph-odd-build-tagged-e": lambda: graph_from_json(_retagged("o", "e")),
+    "graph-even-build-tagged-o": lambda: graph_from_json(_retagged("e", "o")),
     "graph-json-deep": lambda: graph_from_json("[" * 100000),
     "request-json-deep": lambda: request_from_json("[" * 100000),
     "result-json-deep": lambda: result_from_json("[" * 100000),
@@ -477,7 +486,11 @@ MALFORMED = {
 
 
 #: Messages some MALFORMED entries must raise; the others need only raise.
-MALFORMED_MESSAGES = {"graph-edges-not-mesh": "is not a mesh edge"}
+MALFORMED_MESSAGES = {
+    "graph-edges-not-mesh": "is not a mesh edge",
+    "graph-odd-build-tagged-e": "expects centers",
+    "graph-even-build-tagged-o": "expects centers",
+}
 
 
 @pytest.mark.parametrize("name", list(MALFORMED))

@@ -350,6 +350,22 @@ def test_csv_leaves_an_undefined_residual_empty():
     assert rows_to_csv([row]).splitlines()[1].split(",")[8] == ""
 
 
+# sha256 over rows_to_csv(sweep_table(parity, [k], delta, range(13))) for
+# both parities, k = 1..4 and every delta 1..2k, in that order (520 rows).
+# compare_bounds drops a family that raises, so this pins which families
+# each cell counts as well as the formulas.
+BOUND_TABLE_SHA256 = "57c41df4a28d0d92fa59036ea8fd0e0e4de124ec0eadf9987ea6780328d6707b"
+
+
+def test_bound_table_byte_exact():
+    h = hashlib.sha256()
+    for parity in (EVEN, ODD):
+        for k in range(1, 5):
+            for delta in range(1, 2 * k + 1):
+                h.update(rows_to_csv(sweep_table(parity, [k], delta, range(13))).encode())
+    assert h.hexdigest() == BOUND_TABLE_SHA256
+
+
 def test_sweep_table_rejects_empty_ranges():
     with pytest.raises(ValueError):
         sweep_table(EVEN, range(2, 2), 2, range(3, 6))
