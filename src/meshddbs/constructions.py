@@ -27,11 +27,12 @@ copies on both innermost levels (the enlarged family on the minus side,
 the core family on the plus side), and fill the otherwise empty central
 plane with degree-1 vertices hanging from the plus-side copy.
 
-Every builder passes raw vertex and edge sets between its levels
-(``_stack`` and ``_g3``) and builds one ``MeshGraph`` per public call.
-Builders are pure functions of their arguments; building twice yields
-identical graphs.  For k >= 2 and p < 3 the stacked families degenerate
-to a one-dimensional path along axis 1 with the same family tag.
+The raw generators ``_stack``, ``_g3``, ``_edge`` and ``_cycle`` return
+vertex and edge sets, assembled by ``build_family`` into one
+``MeshGraph``; each public builder calls it.  Builders are pure
+functions of their arguments; building twice yields identical graphs.
+For k >= 2 and p < 3 the stacked families degenerate to a
+one-dimensional path along axis 1 with the same family tag.
 
 ``family_size`` gives a family's vertex count without building it.  It
 follows the same recursions on counts alone: a stacked family is its
@@ -39,8 +40,8 @@ centers plus both copies of every level, the enlarged ones add their
 innermost copies and a pendant count with its own recurrence, g3 is
 2 ceil(p/4) - 1 copies of its inner build, the cycle has 4p or 4p+2
 vertices and the edge 2.  One table gives each family code its
-argument check, builder and size function, so ``build_family`` and
-``family_size`` refuse the same arguments with the same message.
+argument check, raw generator and size function, so ``build_family``
+and ``family_size`` refuse the same arguments with the same message.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import NamedTuple
 
 from .lattice_core import (
     FAMILY_CODES,
+    _FAMILY_LATTICE,
     CenteredGraph,
     LatticeParity,
     MeshGraph,
@@ -219,23 +221,6 @@ def _stack_size(odd: bool, enlarged: bool, k: int, p: int, memo: dict) -> int:
 # Degree-4 stacked families
 # ============================================================
 
-#: (odd, enlarged) flags of ``_stack`` per stacked family code.
-_STACKED_FLAGS = {
-    "e": (False, False),
-    "eprime": (False, True),
-    "o": (True, False),
-    "oprime": (True, True),
-}
-
-
-def _build_stacked(family: str, k: int, p: int) -> CenteredGraph:
-    """Build stacked family ``family`` (a key of ``_STACKED_FLAGS``)."""
-    BuildParams(k, p)
-    odd, enlarged = _STACKED_FLAGS[family]
-    graph = MeshGraph(ODD if odd else EVEN, k, *_stack(odd, enlarged, k, p, {}))
-    return CenteredGraph(graph, _centers(odd, k), p, family)
-
-
 def build_even_core(k: int, p: int) -> CenteredGraph:
     """Family ``e``: the degree-4 even-lattice tree of radius p.
 
@@ -243,7 +228,7 @@ def build_even_core(k: int, p: int) -> CenteredGraph:
     x_k = +-i for 1 <= i <= p-2.  A spine joins the copy centers through
     the origin, which is the only vertex of the central plane.
     """
-    return _build_stacked("e", k, p)
+    return build_family("e", k, p)
 
 
 def build_even_extended(k: int, p: int) -> CenteredGraph:
@@ -253,7 +238,7 @@ def build_even_extended(k: int, p: int) -> CenteredGraph:
     innermost levels hold radius p-1 copies (enlarged on the minus side,
     core on the plus side), and the central plane gains pendants.
     """
-    return _build_stacked("eprime", k, p)
+    return build_family("eprime", k, p)
 
 
 def build_odd_core(k: int, p: int) -> CenteredGraph:
@@ -263,12 +248,12 @@ def build_odd_core(k: int, p: int) -> CenteredGraph:
     x_k = +-i for 1 <= i <= p-2, threaded by the double spine.  Every
     vertex ends up within p of one center and within p+1 of the other.
     """
-    return _build_stacked("o", k, p)
+    return build_family("o", k, p)
 
 
 def build_odd_extended(k: int, p: int) -> CenteredGraph:
     """Family ``oprime``: the enlarged degree-4 odd-lattice family."""
-    return _build_stacked("oprime", k, p)
+    return build_family("oprime", k, p)
 
 
 # ============================================================
@@ -349,22 +334,23 @@ def build_degree_three(k: int, p: int) -> CenteredGraph:
         ValueError: p below 4^(k-1), the smallest radius with enough
             room for k stacking levels.
     """
-    _g3_params(k, p)
-    graph = MeshGraph(EVEN, k, *_g3(k, p))
-    return CenteredGraph(graph, _centers(False, k), p, "g3")
+    return build_family("g3", k, p)
 
 
 # ============================================================
 # Degree-1 and degree-2 optima
 # ============================================================
 
-def build_edge(k: int) -> CenteredGraph:
-    """Family ``edge``: one mesh edge from the origin along axis 1."""
-    BuildParams(k, 0)
+def _edge(k: int, p: int, parity: LatticeParity):
+    """Raw (vertices, edges) of family edge: the origin and its axis-1 neighbour."""
     origin = (0,) * k
     other = (2,) + (0,) * (k - 1)
-    g = MeshGraph(EVEN, k, [origin, other], [(origin, other)])
-    return CenteredGraph(g, (origin,), 0, "edge")
+    return [origin, other], [(origin, other)]
+
+
+def build_edge(k: int) -> CenteredGraph:
+    """Family ``edge``: one mesh edge from the origin along axis 1."""
+    return build_family("edge", k)
 
 
 def _cycle_params(k: int, p: int, parity: LatticeParity) -> None:
@@ -374,6 +360,23 @@ def _cycle_params(k: int, p: int, parity: LatticeParity) -> None:
         raise ValueError("family cycle needs k >= 2")
     if p < 1:
         raise ValueError(f"family cycle needs p >= 1, got p = {p}")
+
+
+def _cycle(k: int, p: int, parity: LatticeParity):
+    """Raw (vertices, edges) of family cycle: two rows joined by their end rungs."""
+    tail = (0,) * (k - 2)
+    if parity is EVEN:
+        xs = list(range(-2 * (p - 1), 2 * p + 1, 2))
+    else:
+        xs = list(range(-(2 * p - 1), 2 * p + 2, 2))
+    bottom = [(x,) + tail + (0,) for x in xs]
+    top = [(x,) + tail + (2,) for x in xs]
+    edges = []
+    for row in (bottom, top):
+        edges.extend((row[i], row[i + 1]) for i in range(len(row) - 1))
+    edges.append((bottom[0], top[0]))
+    edges.append((bottom[-1], top[-1]))
+    return bottom + top, edges
 
 
 def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
@@ -387,47 +390,37 @@ def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
     Raises:
         ValueError: k < 2 (a cycle needs two axes) or p < 1.
     """
-    _cycle_params(k, p, parity)
-    tail = (0,) * (k - 2)
-    if parity is EVEN:
-        xs = list(range(-2 * (p - 1), 2 * p + 1, 2))
-    else:
-        xs = list(range(-(2 * p - 1), 2 * p + 2, 2))
-    bottom = [(x,) + tail + (0,) for x in xs]
-    top = [(x,) + tail + (2,) for x in xs]
-    edges = []
-    for row in (bottom, top):
-        edges.extend((row[i], row[i + 1]) for i in range(len(row) - 1))
-    edges.append((bottom[0], top[0]))
-    edges.append((bottom[-1], top[-1]))
-    g = MeshGraph(parity, k, bottom + top, edges)
-    return CenteredGraph(g, _centers(parity is ODD, k), p, "cycle")
+    return build_family("cycle", k, p, parity)
 
 
 # ============================================================
 # Dispatch
 # ============================================================
 
-def _stacked_entry(family: str) -> tuple:
-    odd, enlarged = _STACKED_FLAGS[family]
-    return (BuildParams, lambda k, p, parity: _build_stacked(family, k, p),
-            lambda k, p, parity: _stack_size(odd, enlarged, k, p, {}))
+def _stacked(enlarged: bool) -> tuple:
+    """The ``_FAMILIES`` row of a stacked family; the parity picks ``_stack``'s lattice."""
+    return (BuildParams,
+            lambda k, p, parity: _stack(parity is ODD, enlarged, k, p, {}),
+            lambda k, p, parity: _stack_size(parity is ODD, enlarged, k, p, {}))
 
 
-#: Per family code: argument check, builder and vertex count, each called as
-#: f(k, p, parity) once ``_family_args`` has settled p and parity and run the
-#: check.  Every check validates parity too.
+#: Per family code: argument check, raw (vertices, edges) generator and vertex
+#: count, each called as f(k, p, parity) once ``_family_args`` has settled p and
+#: parity and run the check.  Every check validates parity too; the lattice a
+#: family lives on is ``lattice_core._FAMILY_LATTICE``'s alone.
 _FAMILIES = {
-    **{family: _stacked_entry(family) for family in _STACKED_FLAGS},
-    "g3": (_g3_params, lambda k, p, parity: build_degree_three(k, p),
-           lambda k, p, parity: _g3_size(k, p)),
-    "edge": (BuildParams, lambda k, p, parity: build_edge(k), lambda k, p, parity: 2),
-    "cycle": (_cycle_params, build_cycle, lambda k, p, parity: 4 * p + 2 * (parity is ODD)),
+    "e": _stacked(False),
+    "eprime": _stacked(True),
+    "o": _stacked(False),
+    "oprime": _stacked(True),
+    "g3": (_g3_params, lambda k, p, parity: _g3(k, p), lambda k, p, parity: _g3_size(k, p)),
+    "edge": (BuildParams, _edge, lambda k, p, parity: 2),
+    "cycle": (_cycle_params, _cycle, lambda k, p, parity: 4 * p + 2 * (parity is ODD)),
 }
 
 
 def _family_args(family: str, k, p, parity):
-    """Checks shared by ``build_family`` and ``family_size``; returns ((build, size), p, parity)."""
+    """Checks shared by ``build_family`` and ``family_size``; returns ((raw, size), p, parity)."""
     if family not in FAMILY_CODES:
         raise ValueError(f"unknown family code {family!r}")
     if family == "edge":
@@ -436,33 +429,40 @@ def _family_args(family: str, k, p, parity):
         p = 0
     elif p is None:
         raise ValueError(f"family {family!r} needs a radius parameter p")
-    parity = EVEN if parity is None else parity
+    lattice = _FAMILY_LATTICE[family]
+    if parity is None:
+        parity = lattice or EVEN
     check, *calls = _FAMILIES[family]
     check(k, p, parity)
+    if lattice not in (None, parity):
+        raise ValueError(f"family {family!r} lives on the {lattice.value} lattice, not {parity.value}")
     return calls, p, parity
 
 
 def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
     """Build any family by its code.
 
-    ``parity`` only matters for the cycle family (default even).  The
-    edge family takes no radius; pass p = 0 or leave it unset.
+    ``parity`` defaults to the family's lattice (even for the cycle,
+    the one family on both); a parity off that lattice is refused after
+    the family's own check.  The edge family takes no radius; pass
+    p = 0 or leave it unset.
 
     Raises:
         ValueError: unknown family code or arguments the family rejects.
     """
-    (build, _), p, parity = _family_args(family, k, p, parity)
-    return build(k, p, parity)
+    (raw, _), p, parity = _family_args(family, k, p, parity)
+    graph = MeshGraph(parity, k, *raw(k, p, parity))
+    return CenteredGraph(graph, _centers(parity is ODD, k), p, family)
 
 
 def family_size(family: str, k: int, p=None, parity=None) -> int:
     """Vertex count of ``build_family(family, k, p, parity)`` without building it.
 
-    Takes the same arguments and raises the same ValueError text as
-    ``build_family``.  The stacked families and g3 follow their builders'
-    recursions on sizes alone, so large k and p stay cheap (e at k = 8,
-    p = 200 takes milliseconds); tests tie every family's count to its
-    built graph.
+    Takes the same arguments, parity default included, and raises the
+    same ValueError text as ``build_family``.  The stacked families and
+    g3 follow their builders' recursions on sizes alone, so large k and
+    p stay cheap (e at k = 8, p = 200 takes milliseconds); tests tie
+    every family's count to its built graph.
 
     Raises:
         ValueError: unknown family code or arguments the family rejects.

@@ -309,15 +309,15 @@ class ComparisonRow:
 
 
 def _candidates(parity: LatticeParity, delta: int, p: int) -> tuple:
-    """Family codes whose degree fits ``delta``; some refuse small p."""
+    """(family, p, parity) per family whose degree fits ``delta``; g3 and edge keep their lattice."""
     if delta == 1:
         # the edge's diameter 1 exceeds 2p on the even lattice at p = 0
-        return ("edge",) if parity is LatticeParity.ODD or p > 0 else ()
+        return (("edge", None, None),) if parity is LatticeParity.ODD or p > 0 else ()
     if delta == 2:
-        return ("cycle",)
+        return (("cycle", p, parity),)
     if delta == 3:
-        return ("g3", "cycle")
-    return ("eprime" if parity is LatticeParity.EVEN else "oprime",)
+        return (("g3", p, None), ("cycle", p, parity))
+    return (("eprime" if parity is LatticeParity.EVEN else "oprime", p, parity),)
 
 
 def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> ComparisonRow:
@@ -353,9 +353,9 @@ def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> Compari
     upper = formulas.count_points(parity, k, p)
     approx = formulas.two_term_value(parity, k, p)
     size = lower
-    for family in _candidates(parity, delta, p):
+    for family, family_p, family_parity in _candidates(parity, delta, p):
         with contextlib.suppress(ValueError):  # a refusal leaves the ball standing
-            size = max(size, family_size(family, k, None if family == "edge" else p, parity))
+            size = max(size, family_size(family, k, family_p, family_parity))
     scale = Fraction(p) ** (k - 2) if p > 0 else (Fraction(1) if k <= 2 else None)
     residual = (size - approx) / scale if scale else None
     status = "ok (exceeds conjectured upper ball)" if size > upper else "ok"

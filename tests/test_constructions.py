@@ -1,6 +1,8 @@
 """Builder output sizes, shapes, and preconditions."""
 
 import hashlib
+import inspect
+import itertools
 
 import pytest
 
@@ -211,6 +213,19 @@ def test_build_family_dispatch():
         build_family("zzz", 2)
     with pytest.raises(ValueError, match="unknown family code 'zzz'"):
         family_size("zzz", 2)
+    # parity defaults to the family's lattice and may name it
+    assert build_family("e", 2, 3, EVEN) == build_family("e", 2, 3)
+    assert build_family("oprime", 2, 4, ODD) == build_family("oprime", 2, 4)
+    assert build_family("oprime", 2, 4).graph.parity is ODD
+    # the family's own check runs before the lattice check
+    with pytest.raises(ValueError, match="parity must be a LatticeParity"):
+        build_family("e", 2, 3, "odd")
+    with pytest.raises(ValueError, match="dimension k"):
+        build_family("cycle", 0, 3, "odd")
+    with pytest.raises(ValueError, match="radius parameter p"):
+        build_family("cycle", 2, -1, "odd")
+    with pytest.raises(ValueError, match="family 'o' lives on the odd lattice, not even"):
+        build_family("o", 2, 3, EVEN)
 
 
 # sha256 over graph_to_json(...) + "\n" for every (k, p) of STACKED_GRID,
@@ -258,6 +273,33 @@ def test_other_builders_byte_exact(family):
     assert h.hexdigest() == OTHER_DIGESTS[family]
 
 
+PUBLIC_BUILDERS = {
+    "e": build_even_core, "eprime": build_even_extended, "o": build_odd_core,
+    "oprime": build_odd_extended, "g3": build_degree_three, "edge": build_edge,
+    "cycle": build_cycle,
+}
+
+
+def _outcome(build, *args):
+    """Canonical JSON of the built graph, or the refusal text."""
+    try:
+        return graph_to_json(build(*args))
+    except ValueError as refusal:
+        return f"ValueError: {refusal}"
+
+
+@pytest.mark.parametrize("family", sorted(PUBLIC_BUILDERS))
+def test_public_builders_give_build_familys_graph(family):
+    # every argument list the builder takes, defaults left out or given
+    builder = PUBLIC_BUILDERS[family]
+    params = inspect.signature(builder).parameters.values()
+    required = sum(param.default is param.empty for param in params)
+    values = ((0, 1, 2, 3, True), (-1, 0, 1, 2, 4, 8, None, 2.5), (EVEN, ODD, "odd"))
+    for arity in range(required, len(params) + 1):
+        for args in itertools.product(*values[:arity]):
+            assert _outcome(builder, *args) == _outcome(build_family, family, *args), args
+
+
 SIZE_GRID = {
     "e": ((1, range(21)), (2, range(31)), (3, range(16)), (4, range(11))),
     "g3": ((1, range(1, 21)), (2, range(4, 71)), (3, range(16, 61))),
@@ -281,7 +323,7 @@ def test_family_size_matches_build(family):
     ("cycle", 2, 2, "odd"), ("e", 0, 3), ("oprime", 2, -1), ("o", 2, 2.5),
     ("eprime", True, 3), ("e", 2, True), ("edge", 2, 3), ("edge", 0), ("zzz", 2, 3),
     ("e", 2), ("g3", 2), ("e", 2, 3, "odd"), ("edge", 2, None, "odd"), ("g3", 2, 8, 1),
-    ([], 2, 3),
+    ([], 2, 3), ("e", 2, 3, ODD), ("o", 2, 3, EVEN), ("edge", 2, None, ODD), ("g3", 2, 8, ODD),
 ])
 def test_family_size_refuses_like_the_builder(args):
     with pytest.raises(ValueError) as built:
