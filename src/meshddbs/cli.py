@@ -76,14 +76,12 @@ def main():
 @click.option("--p", type=int, default=None,
               help="Radius parameter; omit for the edge family.")
 @click.option("--parity", type=_PARITY, default=None,
-              help="Lattice parity for the cycle family (default even).")
+              help="Lattice parity; default the family's lattice (even for the cycle).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the graph JSON here instead of standard output.")
 def build(family, k, p, parity, out):
     """Build one family member and emit its canonical graph JSON."""
     par = LatticeParity(parity) if parity is not None else None
-    if par is not None and family != "cycle":
-        raise ValueError(f"--parity only applies to the cycle family, not {family!r}")
     text = graph_to_json(build_family(family, k, p, par))
     if out is None:
         click.echo(text)

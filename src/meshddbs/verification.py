@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,6 @@ from .lattice_core import (
     INFINITE,
     CenteredGraph,
     LatticeParity,
-    MeshGraph,
     _need_int,
     _need_parity,
     degrees,
@@ -81,135 +81,19 @@ def _verdict(name: str, ok: bool, witness: str) -> ConditionCheck:
     return ConditionCheck(name, ok, "" if ok else witness)
 
 
-def _degree_check(g: MeshGraph, cap_of, exact: bool = False) -> ConditionCheck:
-    """Every degree at most ``cap_of(v)``, or equal to it when ``exact``.
+def _degree_check(cg: CenteredGraph, cap, exact: bool = False) -> ConditionCheck:
+    """Every degree at most ``cap(v, centers)``, or equal to it when ``exact``.
 
-    ``cap_of`` returns None for vertices the condition exempts.
+    ``cap`` returns None for vertices the condition exempts.
     """
-    for v, d in zip(g.vertices, degrees(g)):
-        cap = cap_of(v)
-        if cap is None:
-            continue
-        if d > cap or (exact and d != cap):
+    centers = cg.centers
+    for v, d in zip(cg.graph.vertices, degrees(cg.graph)):
+        limit = cap(v, centers)
+        if limit is not None and (d > limit or (exact and d != limit)):
             return ConditionCheck(
                 "degree-bound", False,
-                f"degree {d} at {v!r} ({'expected' if exact else 'cap'} {cap})")
+                f"degree {d} at {v!r} ({'expected' if exact else 'cap'} {limit})")
     return ConditionCheck("degree-bound", True)
-
-
-#: Degree cap per stacked family, given the built graph (``o`` exempts
-#: its two centers).
-_STACKED_CAPS = {
-    "e": lambda cg: lambda v: 4 if 0 in v else 2,
-    "eprime": lambda cg: lambda v: 4,
-    "o": lambda cg: lambda v: None if v in cg.centers else (4 if v[0] in (1, -1) else 2),
-    "oprime": lambda cg: lambda v: 4,
-}
-
-
-def check_conditions(cg: CenteredGraph) -> ConditionReport:
-    """Evaluate the defining conditions of a family on a built graph.
-
-    The report opens with ``mesh-edges``, which always passes: an
-    immutable ``MeshGraph`` validated each edge once, built or parsed.
-    The checks after it measure the family conditions.
-
-    The stacked families ``e``, ``eprime``, ``o`` and ``oprime`` share
-    one list: a degree cap; center degree exactly 2 (at most 2 for the
-    one-dimensional and degenerate builds); connected; center reach.
-    The caps are 4 for ``eprime`` and ``oprime``; for ``e``, 4 on
-    vertices with a zero coordinate and 2 elsewhere; for ``o``, 4 on
-    non-center vertices whose first coordinate sits on the two central
-    planes and 2 on other non-center vertices.  Even reach (``e``,
-    ``eprime``): every vertex within p hops of the center.  Odd reach
-    (``o``, ``oprime``): every non-center vertex within p hops of one
-    center and within p+1 hops of the other, plus the centers within
-    2p+1 hops of each other.  The other families:
-
-    * ``g3``      diameter at most 2p; degree at most 3; a free pair of
-      adjacent low-degree vertices remains for further stacking.
-    * ``edge``    exactly two vertices and one edge; diameter 1.
-    * ``cycle``   connected with every degree exactly 2; 4p or 4p+2
-      vertices by lattice parity; diameter exactly 2p or 2p+1.
-    """
-    g = cg.graph
-    family = cg.family
-    p = cg.p
-    # MeshGraph refuses any edge that is not a mesh edge, built or parsed.
-    checks = [ConditionCheck("mesh-edges", True)]
-    n = len(g.vertices)
-    m = edge_count(g)
-
-    center_dists = [hop_counts(g, c) for c in cg.centers]
-    connected = all(min(d) >= 0 for d in center_dists) if n > 1 else True
-    eccs = tuple(max(d) if min(d) >= 0 else INFINITE for d in center_dists)
-
-    diam = None
-    if family not in _STACKED_CAPS or n <= DIAMETER_SCAN_LIMIT or (
-            connected and m == n - 1):
-        diam = diameter(g)
-
-    if family in _STACKED_CAPS:
-        checks += [
-            _degree_check(g, _STACKED_CAPS[family](cg)),
-            _center_degree_check(cg, exact=p >= 1),
-            _verdict("connected", connected, "graph splits"),
-        ]
-        if g.parity is LatticeParity.ODD:
-            checks += [
-                _center_reach_odd(cg, center_dists, p),
-                _center_separation_check(cg, center_dists, p),
-            ]
-        else:
-            checks.append(_center_reach_even(cg, center_dists, p))
-    elif family == "g3":
-        checks += [
-            _verdict("diameter", diam is not INFINITE and diam <= 2 * p,
-                     f"diameter {diam} exceeds {2 * p}"),
-            _degree_check(g, lambda v: 3),
-        ]
-        try:
-            find_free_pair(g)
-            checks.append(ConditionCheck("free-pair", True))
-        except ValueError as exc:
-            checks.append(ConditionCheck("free-pair", False, str(exc)))
-    elif family == "edge":
-        checks += [
-            _verdict("shape", n == 2 and m == 1, f"{n} vertices, {m} edges"),
-            _verdict("diameter", diam == 1, f"diameter {diam}"),
-        ]
-    else:  # cycle
-        odd = g.parity is LatticeParity.ODD
-        checks += [
-            _degree_check(g, lambda v: 2, exact=True) if connected
-            else ConditionCheck("degree-bound", False, "graph splits"),
-            _verdict("length", n == 4 * p + 2 * odd,
-                     f"{n} vertices, expected {4 * p + 2 * odd}"),
-            _verdict("diameter", diam == 2 * p + odd,
-                     f"diameter {diam}, expected {2 * p + odd}"),
-        ]
-
-    return ConditionReport(
-        family=family,
-        k=g.k,
-        p=p,
-        vertex_count=n,
-        max_degree=max_degree(g),
-        center_eccentricities=eccs,
-        diameter=diam,
-        checks=tuple(checks),
-    )
-
-
-def _center_reach_even(cg, center_dists, p):
-    dist = center_dists[0]
-    verts = cg.graph.vertices
-    for i, d in enumerate(dist):
-        if d < 0 or d > p:
-            return ConditionCheck(
-                "center-reach", False,
-                f"{verts[i]!r} at distance {'inf' if d < 0 else d} from the center")
-    return ConditionCheck("center-reach", True)
 
 
 def _center_degree_check(cg, exact):
@@ -218,6 +102,25 @@ def _center_degree_check(cg, exact):
         if d > 2 or (exact and d != 2):
             return ConditionCheck("center-degree", False, f"center {c!r} has degree {d}")
     return ConditionCheck("center-degree", True)
+
+
+def _center_reach(cg, center_dists, p):
+    """Every vertex off the centers within p hops of its nearer center and
+    p + (number of centers - 1) of its farther one; the two odd centers
+    themselves are left to the separation check."""
+    far = p + len(center_dists) - 1
+    centers = cg.centers
+    # a and b: hops from the first and the last center, one and the same when even
+    for v, a, b in zip(cg.graph.vertices, center_dists[0], center_dists[-1]):
+        if (a > p and b > p or not (0 <= a <= far and 0 <= b <= far)) and v not in centers:
+            if len(center_dists) == 1:
+                witness = f"at distance {'inf' if a < 0 else a} from the center"
+            elif a < 0 or b < 0:
+                witness = "unreachable"
+            else:
+                witness = f"at distances {a} and {b} from the centers"
+            return ConditionCheck("center-reach", False, f"{v!r} {witness}")
+    return ConditionCheck("center-reach", True)
 
 
 def _center_separation_check(cg, center_dists, p):
@@ -229,23 +132,104 @@ def _center_separation_check(cg, center_dists, p):
                     f"centers {'inf' if sep < 0 else sep} apart, limit {2 * p + 1}")
 
 
-def _center_reach_odd(cg, center_dists, p):
-    # Measured on vertices away from the two centers; the pair itself
-    # is covered by the separation check.
-    d1, d2 = center_dists
-    verts = cg.graph.vertices
-    skip = frozenset(cg.centers)
-    for i in range(len(verts)):
-        if verts[i] in skip:
-            continue
-        a, b = d1[i], d2[i]
-        if a < 0 or b < 0:
-            return ConditionCheck("center-reach", False, f"{verts[i]!r} unreachable")
-        if min(a, b) > p or max(a, b) > p + 1:
-            return ConditionCheck(
-                "center-reach", False,
-                f"{verts[i]!r} at distances {a} and {b} from the centers")
-    return ConditionCheck("center-reach", True)
+def _stacked(cap):
+    """Checks of a stacked family whose degree cap at ``v`` is ``cap(v, centers)``.
+
+    A degree cap; center degree exactly 2 (at most 2 for the
+    one-dimensional and degenerate builds); connected; center reach;
+    with two centers, their separation: within 2p+1 hops of each other.
+    """
+    def checks(cg, center_dists, connected, diam):
+        found = [
+            _degree_check(cg, cap),
+            _center_degree_check(cg, exact=cg.p >= 1),
+            _verdict("connected", connected, "graph splits"),
+            _center_reach(cg, center_dists, cg.p),
+        ]
+        if len(cg.centers) == 2:
+            found.append(_center_separation_check(cg, center_dists, cg.p))
+        return found
+    return checks
+
+
+def _g3_checks(cg, center_dists, connected, diam):
+    """Diameter at most 2p; degree at most 3; a free pair of adjacent
+    low-degree vertices remains for further stacking."""
+    d = diam()
+    try:
+        find_free_pair(cg.graph)
+        free = ConditionCheck("free-pair", True)
+    except ValueError as exc:
+        free = ConditionCheck("free-pair", False, str(exc))
+    return [
+        _verdict("diameter", d <= 2 * cg.p, f"diameter {d} exceeds {2 * cg.p}"),
+        _degree_check(cg, lambda v, centers: 3),
+        free,
+    ]
+
+
+def _edge_checks(cg, center_dists, connected, diam):
+    """Exactly two vertices and one edge; diameter 1."""
+    n, m, d = len(cg.graph.vertices), edge_count(cg.graph), diam()
+    return [
+        _verdict("shape", n == 2 and m == 1, f"{n} vertices, {m} edges"),
+        _verdict("diameter", d == 1, f"diameter {d}"),
+    ]
+
+
+def _cycle_checks(cg, center_dists, connected, diam):
+    """Connected with every degree exactly 2; 4p or 4p+2 vertices by
+    lattice parity; diameter exactly 2p or 2p+1."""
+    n, p, d = len(cg.graph.vertices), cg.p, diam()
+    odd = cg.graph.parity is LatticeParity.ODD
+    return [
+        _degree_check(cg, lambda v, centers: 2, exact=True) if connected
+        else ConditionCheck("degree-bound", False, "graph splits"),
+        _verdict("length", n == 4 * p + 2 * odd, f"{n} vertices, expected {4 * p + 2 * odd}"),
+        _verdict("diameter", d == 2 * p + odd, f"diameter {d}, expected {2 * p + odd}"),
+    ]
+
+
+#: Each family's checks, as f(cg, center_dists, connected, diam), where
+#: ``diam()`` is the exact diameter.  The caps are 4 for ``eprime`` and
+#: ``oprime``; for ``e``, 4 on vertices with a zero coordinate and 2
+#: elsewhere; for ``o``, 4 on non-center vertices whose first coordinate
+#: sits on the two central planes and 2 on other non-center vertices.
+_CONDITIONS = {
+    "e": _stacked(lambda v, centers: 4 if 0 in v else 2),
+    "eprime": _stacked(lambda v, centers: 4),
+    "o": _stacked(lambda v, centers: None if v in centers else (4 if v[0] in (1, -1) else 2)),
+    "oprime": _stacked(lambda v, centers: 4),
+    "g3": _g3_checks,
+    "edge": _edge_checks,
+    "cycle": _cycle_checks,
+}
+
+
+def check_conditions(cg: CenteredGraph) -> ConditionReport:
+    """Evaluate the defining conditions of a family on a built graph.
+
+    The report opens with ``mesh-edges``, which always passes: an
+    immutable ``MeshGraph`` validated each edge once, built or parsed.
+    The checks after it are the family's row of ``_CONDITIONS``, whose
+    functions state the conditions.  The exact diameter is measured at
+    most once: when a family's condition asks for it, at or below
+    ``DIAMETER_SCAN_LIMIT`` vertices, or on a tree.
+    """
+    g = cg.graph
+    n = len(g.vertices)
+    center_dists = [hop_counts(g, c) for c in cg.centers]
+    connected = all(min(d) >= 0 for d in center_dists) if n > 1 else True
+    eccs = tuple(max(d) if min(d) >= 0 else INFINITE for d in center_dists)
+    diam = functools.cache(lambda: diameter(g))
+    # MeshGraph refuses any edge that is not a mesh edge, built or parsed.
+    checks = (ConditionCheck("mesh-edges", True),
+              *_CONDITIONS[cg.family](cg, center_dists, connected, diam))
+    asked = diam.cache_info().currsize  # a condition has measured it already
+    scan = asked or n <= DIAMETER_SCAN_LIMIT or (connected and edge_count(g) == n - 1)
+    return ConditionReport(
+        family=cg.family, k=g.k, p=cg.p, vertex_count=n, max_degree=max_degree(g),
+        center_eccentricities=eccs, diameter=diam() if scan else None, checks=checks)
 
 
 def report_lines(report: ConditionReport) -> list:

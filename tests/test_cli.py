@@ -48,6 +48,13 @@ def test_build_parity_only_for_cycle():
     assert r.exit_code == 1
 
 
+def test_build_parity_on_the_family_lattice_is_the_default():
+    args = ["build", "--family", "o", "--k", "2", "--p", "3"]
+    plain, odd = run(*args), run(*args, "--parity", "odd")
+    assert plain.exit_code == odd.exit_code == 0
+    assert odd.output == plain.output
+
+
 def test_build_precondition_fails_cleanly():
     r = run("build", "--family", "g3", "--k", "3", "--p", "6")
     assert r.exit_code == 1
@@ -151,9 +158,9 @@ CLI_ERRORS = {
                    "--max-nodes", "0"],
         "max_nodes",
     ),
-    "build-parity-not-cycle": (
+    "build-parity-off-lattice": (
         lambda d: ["build", "--family", "e", "--k", "2", "--p", "3", "--parity", "odd"],
-        "--parity only applies to the cycle family",
+        "family 'e' lives on the even lattice, not odd",
     ),
 }
 

@@ -21,8 +21,10 @@ from meshddbs import (
     rows_to_pretty,
     sweep_table,
 )
+from meshddbs import constructions, verification
 from meshddbs.formulas import BallSpec, ball_enumerate
-from meshddbs.verification import CSV_HEADER, ComparisonRow
+from meshddbs.lattice_core import FAMILY_CODES, _centers
+from meshddbs.verification import CSV_HEADER, DIAMETER_SCAN_LIMIT, ComparisonRow
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -104,13 +106,19 @@ def test_g3_star_fails_only_free_pair():
     assert [c.name for c in rep.checks if not c.passed] == ["free-pair"]
 
 
+def _edited(family, k, p, parity=None, drop=(), add=(), tag_p=None):
+    """``family`` at (k, p), edges ``drop`` removed, ``add`` joined, tagged radius ``tag_p``."""
+    full = build_family(family, k, p, parity)
+    g = full.graph
+    edges = (set(g.edges) - set(drop)) | set(add)
+    verts = set(g.vertices) | {v for e in add for v in e}
+    return CenteredGraph(MeshGraph(g.parity, k, verts, edges), full.centers,
+                         p if tag_p is None else tag_p, family)
+
+
 def _core_with(family, drop=(), add=()):
     """``family`` at k=2, p=4 with edges ``drop`` removed and leaves ``add`` hung on."""
-    full = build_family(family, 2, p=4)
-    g = full.graph
-    verts = set(g.vertices) | {leaf for _, leaf in add}
-    edges = (set(g.edges) - set(drop)) | set(add)
-    return CenteredGraph(MeshGraph(g.parity, 2, verts, edges), full.centers, 4, family)
+    return _edited(family, 2, 4, drop=drop, add=add)
 
 
 def _reach_witness(cg):
@@ -150,6 +158,77 @@ def test_even_reach_names_a_cut_off_vertex():
     # (-6, -2) is a leaf hanging from (-4, -2); cut it loose
     cg = _core_with("e", drop=[((-6, -2), (-4, -2))])
     assert _reach_witness(cg) == "(-6, -2) at distance inf from the center"
+
+
+def _tagged(parity, family, p, verts, edges):
+    """A hand-made graph on the lattice's centers, tagged as ``family`` at radius p."""
+    k = len(verts[0])
+    return CenteredGraph(MeshGraph(parity, k, verts, edges), _centers(parity is ODD, k), p, family)
+
+
+def _cycle_edges(pts):
+    return list(zip(pts, pts[1:] + pts[:1]))
+
+
+_EVEN_SQUARES = [(0, 0), (2, 0), (2, 2), (0, 2)], [(6, 0), (8, 0), (8, 2), (6, 2)]
+_ODD_SQUARES = [(-1, 0), (1, 0), (1, 2), (-1, 2)], [(5, 0), (7, 0), (7, 2), (5, 2)]
+_STAR = [(0, 0), (2, 0), (-2, 0), (0, 2)]
+_HUB = _STAR + [(0, -2)]
+_ODD_DETOUR = [(-1, 0), (-1, 2), (-1, 4), (1, 4), (1, 2), (1, 0)]
+
+#: Graphs that break their family's conditions, at least one per family;
+#: together they fail every check name.
+FAILING_GRAPHS = (
+    lambda: _edited("e", 2, 4, add=[((2, 2), (2, 0))]),
+    lambda: _edited("e", 2, 4, add=[((0, 0), (2, 0)), ((0, 0), (-2, 0))]),
+    lambda: _edited("e", 2, 4, add=[((-6, -2), (-8, -2))]),
+    lambda: _edited("e", 2, 4, drop=[((-6, -2), (-4, -2))]),
+    lambda: _edited("eprime", 2, 4, drop=[((4, 0), (4, 2))]),
+    lambda: _edited("eprime", 3, 4, add=[((0, 0, 2), (2, 0, 2))]),
+    lambda: _edited("eprime", 3, 2, add=[((0, 0, 0), (0, 0, 2))]),
+    lambda: _edited("o", 2, 4, drop=[((-7, -2), (-5, -2))]),
+    lambda: _edited("o", 2, 4, add=[((3, 2), (3, 0))]),
+    lambda: _tagged(ODD, "o", 1, _ODD_DETOUR, list(zip(_ODD_DETOUR, _ODD_DETOUR[1:]))),
+    lambda: _tagged(ODD, "o", 1, [(-3, 0), (-1, 0), (1, 0), (3, 0)],
+                    [((-3, 0), (-1, 0)), ((1, 0), (3, 0))]),
+    lambda: _edited("oprime", 2, 3, add=[((1, 0), (3, 0))]),
+    lambda: _edited("oprime", 2, 16, drop=[((29, 2), (31, 2))]),  # above the scan limit
+    lambda: _edited("oprime", 3, 4, add=[((-1, 0, -2), (-3, 0, -2))]),
+    lambda: _edited("g3", 2, 8, tag_p=4),
+    lambda: _tagged(EVEN, "g3", 1, _HUB, [((0, 0), a) for a in _HUB[1:]]),
+    lambda: _tagged(EVEN, "g3", 1, _STAR, [((0, 0), a) for a in _STAR[1:]]),
+    lambda: _tagged(EVEN, "g3", 2, [(0, 0), (2, 0), (6, 0), (8, 0)],
+                    [((0, 0), (2, 0)), ((6, 0), (8, 0))]),
+    lambda: _tagged(EVEN, "edge", 0, [(-2, 0), (0, 0), (2, 0)],
+                    [((-2, 0), (0, 0)), ((0, 0), (2, 0))]),
+    lambda: _tagged(EVEN, "edge", 0, [(0, 0, 0)], []),
+    lambda: _edited("cycle", 2, 2, add=[((0, 2), (0, 4))]),
+    lambda: _edited("cycle", 2, 2, tag_p=3),
+    lambda: _edited("cycle", 2, 2, ODD, tag_p=1),
+    lambda: _tagged(EVEN, "cycle", 2, [v for sq in _EVEN_SQUARES for v in sq],
+                    [e for sq in _EVEN_SQUARES for e in _cycle_edges(sq)]),
+    lambda: _tagged(ODD, "cycle", 2, [v for sq in _ODD_SQUARES for v in sq],
+                    [e for sq in _ODD_SQUARES for e in _cycle_edges(sq)]),
+)
+
+# sha256 over the report_lines of FAILING_GRAPHS in order; taken before the
+# family conditions moved into one table.
+FAILING_DIGEST = "6809490be1f97d91ef799912e0dd05d86469e32b7d25384f0a4edd428b0023e5"
+
+
+def test_failure_reports_byte_exact():
+    h = hashlib.sha256()
+    families, failed = set(), set()
+    for make in FAILING_GRAPHS:
+        rep = check_conditions(make())
+        assert not rep.passed
+        families.add(rep.family)
+        failed |= {c.name for c in rep.checks if not c.passed}
+        h.update(("\n".join(report_lines(rep)) + "\n").encode())
+    assert families == set(FAMILY_CODES)
+    assert failed == {"degree-bound", "center-degree", "connected", "center-reach",
+                      "center-separation", "diameter", "free-pair", "shape", "length"}
+    assert h.hexdigest() == FAILING_DIGEST
 
 
 # sha256 over the report_lines of every build on REPORT_GRID that the
@@ -214,6 +293,29 @@ def test_diameter_skipped_on_large_cyclic_graphs():
     assert rep.vertex_count == 560
     assert rep.diameter is None  # above the scan limit, carries cycles
     assert rep.passed
+
+
+@pytest.mark.parametrize("parity,p,n,diam", [(EVEN, 129, 516, 258), (ODD, 128, 514, 257)])
+def test_diameter_measured_above_the_limit_when_a_condition_needs_it(parity, p, n, diam):
+    # the cycle's conditions name its diameter, so the scan limit does not apply
+    rep = check_conditions(build_family("cycle", 2, p, parity))
+    assert rep.vertex_count == n > DIAMETER_SCAN_LIMIT
+    assert rep.diameter == diam
+    assert [c.name for c in rep.checks][-1] == "diameter"
+    assert rep.passed
+
+
+def test_diameter_measured_at_most_once_per_report(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verification, "diameter", lambda g: calls.append(g) or diameter(g))
+    for family in FAMILY_CODES:
+        calls.clear()
+        rep = check_conditions(build_family(family, 2, None if family == "edge" else 4))
+        assert len(calls) == 1 and rep.diameter == diameter(calls[0]), family
+
+
+def test_condition_table_names_every_family():
+    assert set(verification._CONDITIONS) == set(constructions._FAMILIES) == set(FAMILY_CODES)
 
 
 def test_compare_bounds_row_values():
