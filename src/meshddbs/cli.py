@@ -14,14 +14,14 @@ import sys
 import click
 
 from . import formulas, solver, verification
-from .constructions import build_family
-from .lattice_core import (
+from .constructions import (
     FAMILY_CODES,
-    LatticeParity,
+    build_family,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
 )
+from .lattice_core import LatticeParity
 
 
 class _RangeType(click.ParamType):

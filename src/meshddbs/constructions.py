@@ -39,28 +39,32 @@ follows the same recursions on counts alone: a stacked family is its
 centers plus both copies of every level, the enlarged ones add their
 innermost copies and a pendant count with its own recurrence, g3 is
 2 ceil(p/4) - 1 copies of its inner build, the cycle has 4p or 4p+2
-vertices and the edge 2.  One table gives each family code its
-argument check, raw generator and size function, so ``build_family``
-and ``family_size`` refuse the same arguments with the same message.
+vertices and the edge 2.  One table, ``_FAMILIES``, gives each family
+code its lattice, argument check, raw generator and size function, so
+``build_family`` and ``family_size`` refuse the same arguments with the
+same message.  A built member is a ``CenteredGraph``, with the centers
+its lattice fixes; ``graph_to_json``, ``graph_from_json`` and
+``graph_to_dot`` write, read and draw it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import json
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice_core import (
-    FAMILY_CODES,
-    _FAMILY_LATTICE,
-    CenteredGraph,
     LatticeParity,
     MeshGraph,
     Point,
-    _centers,
     _int_at_least,
+    _json_loads,
     _need_int,
     _need_parity,
+    mesh_from_obj,
+    mesh_to_obj,
+    point_label,
 )
 
 EVEN = LatticeParity.EVEN
@@ -86,6 +90,83 @@ class FreePair(NamedTuple):
 
     v1: Point
     v2: Point
+
+
+def _centers(odd: bool, k: int) -> tuple:
+    """The origin on the even lattice, (+-1, 0, ..., 0) on the odd one."""
+    if odd:
+        return ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
+    return ((0,) * k,)
+
+
+@dataclass(frozen=True)
+class CenteredGraph:
+    """A built family member: graph plus centers, radius tag, family code.
+
+    Families on the even lattice carry one center at the origin.
+    Families on the odd lattice carry two centers at true coordinates
+    (+-1/2, 0, ..., 0), which are doubled (+-1, 0, ..., 0) here.
+    """
+
+    graph: MeshGraph
+    centers: tuple
+    p: int
+    family: str
+
+    def __post_init__(self):
+        # A tuple test: an unhashable code is unknown, not a TypeError.
+        if self.family not in FAMILY_CODES:
+            raise ValueError(f"unknown family code {self.family!r}")
+        _need_int(self.p, 0, "radius parameter p")
+        centers = tuple(sorted(tuple(c) for c in self.centers))
+        object.__setattr__(self, "centers", centers)
+        lattice = _FAMILIES[self.family].lattice or self.graph.parity
+        expected = _centers(lattice is ODD, self.graph.k)
+        if centers != expected:
+            raise ValueError(
+                f"family {self.family!r} on the {self.graph.parity.value} lattice "
+                f"expects centers {expected!r}, got {centers!r}"
+            )
+        for c in centers:
+            if not self.graph.has_vertex(c):
+                raise ValueError(f"center {c!r} is not a vertex of the graph")
+
+
+def graph_to_json(cg: CenteredGraph) -> str:
+    """Canonical single-line JSON text for a built family member.
+
+    Round trip is byte exact: parsing this text and serialising the
+    result reproduces it unchanged.
+    """
+    obj = mesh_to_obj(cg.graph, cg.centers, cg.family, cg.p)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def graph_from_json(text: str) -> CenteredGraph:
+    """Parse canonical graph JSON back into a CenteredGraph.
+
+    Raises:
+        ValueError: malformed JSON, unknown family, or centers that do
+            not match the family convention.
+    """
+    g, centers, family, p = mesh_from_obj(_json_loads(text))
+    return CenteredGraph(g, centers, p, family)
+
+
+def graph_to_dot(cg: CenteredGraph) -> str:
+    """Graphviz text with true-coordinate labels, centers double-ringed."""
+    lines = ["graph mesh {"]
+    center_set = set(cg.centers)
+    for v in cg.graph.vertices:
+        label = point_label(v)
+        if v in center_set:
+            lines.append(f'  "{label}" [peripheries=2];')
+        else:
+            lines.append(f'  "{label}";')
+    for a, b in cg.graph.edges:
+        lines.append(f'  "{point_label(a)}" -- "{point_label(b)}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ============================================================
@@ -397,30 +478,35 @@ def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
 # Dispatch
 # ============================================================
 
-def _stacked(enlarged: bool) -> tuple:
+#: One ``_FAMILIES`` row: the lattice that fixes the family's parity and centers
+#: (None where the caller picks it: the cycle), then the argument check (which
+#: validates parity too), raw (vertices, edges) generator and vertex count, each
+#: called as f(k, p, parity) once ``_family_args`` has settled p and parity.
+_Family = namedtuple("_Family", "lattice check raw size")
+
+
+def _stacked(lattice: LatticeParity, enlarged: bool) -> _Family:
     """The ``_FAMILIES`` row of a stacked family; the parity picks ``_stack``'s lattice."""
-    return (BuildParams,
-            lambda k, p, parity: _stack(parity is ODD, enlarged, k, p, {}),
-            lambda k, p, parity: _stack_size(parity is ODD, enlarged, k, p, {}))
+    return _Family(lattice, BuildParams,
+                   lambda k, p, parity: _stack(parity is ODD, enlarged, k, p, {}),
+                   lambda k, p, parity: _stack_size(parity is ODD, enlarged, k, p, {}))
 
 
-#: Per family code: argument check, raw (vertices, edges) generator and vertex
-#: count, each called as f(k, p, parity) once ``_family_args`` has settled p and
-#: parity and run the check.  Every check validates parity too; the lattice a
-#: family lives on is ``lattice_core._FAMILY_LATTICE``'s alone.
 _FAMILIES = {
-    "e": _stacked(False),
-    "eprime": _stacked(True),
-    "o": _stacked(False),
-    "oprime": _stacked(True),
-    "g3": (_g3_params, lambda k, p, parity: _g3(k, p), lambda k, p, parity: _g3_size(k, p)),
-    "edge": (BuildParams, _edge, lambda k, p, parity: 2),
-    "cycle": (_cycle_params, _cycle, lambda k, p, parity: 4 * p + 2 * (parity is ODD)),
+    "e": _stacked(EVEN, False),
+    "eprime": _stacked(EVEN, True),
+    "o": _stacked(ODD, False),
+    "oprime": _stacked(ODD, True),
+    "g3": _Family(EVEN, _g3_params, lambda k, p, _: _g3(k, p), lambda k, p, _: _g3_size(k, p)),
+    "edge": _Family(EVEN, BuildParams, _edge, lambda k, p, parity: 2),
+    "cycle": _Family(None, _cycle_params, _cycle, lambda k, p, parity: 4 * p + 2 * (parity is ODD)),
 }
+
+FAMILY_CODES = tuple(_FAMILIES)
 
 
 def _family_args(family: str, k, p, parity):
-    """Checks shared by ``build_family`` and ``family_size``; returns ((raw, size), p, parity)."""
+    """Checks shared by ``build_family`` and ``family_size``; returns (row, p, parity)."""
     if family not in FAMILY_CODES:
         raise ValueError(f"unknown family code {family!r}")
     if family == "edge":
@@ -429,14 +515,14 @@ def _family_args(family: str, k, p, parity):
         p = 0
     elif p is None:
         raise ValueError(f"family {family!r} needs a radius parameter p")
-    lattice = _FAMILY_LATTICE[family]
+    row = _FAMILIES[family]
     if parity is None:
-        parity = lattice or EVEN
-    check, *calls = _FAMILIES[family]
-    check(k, p, parity)
-    if lattice not in (None, parity):
-        raise ValueError(f"family {family!r} lives on the {lattice.value} lattice, not {parity.value}")
-    return calls, p, parity
+        parity = row.lattice or EVEN
+    row.check(k, p, parity)
+    if row.lattice not in (None, parity):
+        raise ValueError(
+            f"family {family!r} lives on the {row.lattice.value} lattice, not {parity.value}")
+    return row, p, parity
 
 
 def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
@@ -450,8 +536,8 @@ def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
     Raises:
         ValueError: unknown family code or arguments the family rejects.
     """
-    (raw, _), p, parity = _family_args(family, k, p, parity)
-    graph = MeshGraph(parity, k, *raw(k, p, parity))
+    row, p, parity = _family_args(family, k, p, parity)
+    graph = MeshGraph(parity, k, *row.raw(k, p, parity))
     return CenteredGraph(graph, _centers(parity is ODD, k), p, family)
 
 
@@ -467,5 +553,5 @@ def family_size(family: str, k: int, p=None, parity=None) -> int:
     Raises:
         ValueError: unknown family code or arguments the family rejects.
     """
-    (_, size), p, parity = _family_args(family, k, p, parity)
-    return size(k, p, parity)
+    row, p, parity = _family_args(family, k, p, parity)
+    return row.size(k, p, parity)

@@ -11,13 +11,13 @@ Two lattice points are mesh neighbours exactly when their true taxicab
 distance is 1, which in doubled coordinates reads as distance 2.  Graphs
 here carry explicit edge sets: a graph may use fewer edges than the mesh
 induces on its vertex set, but never an edge the mesh does not provide.
+No family is named here: ``constructions`` holds them and their graph files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, repeat
@@ -38,17 +38,6 @@ class LatticeParity(Enum):
 
     EVEN = "even"
     ODD = "odd"
-
-
-#: Lattice each family's graphs live on, which fixes their centers; None
-#: where the caller picks the lattice (the cycle).
-_FAMILY_LATTICE = {
-    "e": LatticeParity.EVEN, "eprime": LatticeParity.EVEN,
-    "o": LatticeParity.ODD, "oprime": LatticeParity.ODD,
-    "g3": LatticeParity.EVEN, "edge": LatticeParity.EVEN, "cycle": None,
-}
-
-FAMILY_CODES = tuple(_FAMILY_LATTICE)
 
 
 def _int_at_least(x, least: int) -> bool:
@@ -433,45 +422,6 @@ def diameter(g: MeshGraph):
     return max(max(_int_bfs(iadj, s)) for s in range(n))
 
 
-def _centers(odd: bool, k: int) -> tuple:
-    """The origin on the even lattice, (+-1, 0, ..., 0) on the odd one."""
-    if odd:
-        return ((-1,) + (0,) * (k - 1), (1,) + (0,) * (k - 1))
-    return ((0,) * k,)
-
-
-@dataclass(frozen=True)
-class CenteredGraph:
-    """A built family member: graph plus centers, radius tag, family code.
-
-    Families on the even lattice carry one center at the origin.
-    Families on the odd lattice carry two centers at true coordinates
-    (+-1/2, 0, ..., 0), which are doubled (+-1, 0, ..., 0) here.
-    """
-
-    graph: MeshGraph
-    centers: tuple
-    p: int
-    family: str
-
-    def __post_init__(self):
-        if self.family not in FAMILY_CODES:
-            raise ValueError(f"unknown family code {self.family!r}")
-        _need_int(self.p, 0, "radius parameter p")
-        centers = tuple(sorted(tuple(c) for c in self.centers))
-        object.__setattr__(self, "centers", centers)
-        lattice = _FAMILY_LATTICE[self.family] or self.graph.parity
-        expected = _centers(lattice is LatticeParity.ODD, self.graph.k)
-        if centers != expected:
-            raise ValueError(
-                f"family {self.family!r} on the {self.graph.parity.value} lattice "
-                f"expects centers {expected!r}, got {centers!r}"
-            )
-        for c in centers:
-            if not self.graph.has_vertex(c):
-                raise ValueError(f"center {c!r} is not a vertex of the graph")
-
-
 # ============================================================
 # Serialization
 # ============================================================
@@ -558,46 +508,13 @@ def mesh_from_obj(obj: dict):
     return g, tuple(centers), obj["family"], p
 
 
+def _no_constant(token: str):
+    raise ValueError(f"invalid JSON: {token} is not a JSON number")
+
+
 def _json_loads(text: str):
-    """Parse JSON text; a syntax error or too deep a nesting becomes a ValueError."""
+    """Parse strict JSON; a syntax error, too deep a nesting or NaN/Infinity is a ValueError."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_no_constant)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
-
-
-def graph_to_json(cg: CenteredGraph) -> str:
-    """Canonical single-line JSON text for a built family member.
-
-    Round trip is byte exact: parsing this text and serialising the
-    result reproduces it unchanged.
-    """
-    obj = mesh_to_obj(cg.graph, cg.centers, cg.family, cg.p)
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def graph_from_json(text: str) -> CenteredGraph:
-    """Parse canonical graph JSON back into a CenteredGraph.
-
-    Raises:
-        ValueError: malformed JSON, unknown family, or centers that do
-            not match the family convention.
-    """
-    g, centers, family, p = mesh_from_obj(_json_loads(text))
-    return CenteredGraph(g, centers, p, family)
-
-
-def graph_to_dot(cg: CenteredGraph) -> str:
-    """Graphviz text with true-coordinate labels, centers double-ringed."""
-    lines = ["graph mesh {"]
-    center_set = set(cg.centers)
-    for v in cg.graph.vertices:
-        label = point_label(v)
-        if v in center_set:
-            lines.append(f'  "{label}" [peripheries=2];')
-        else:
-            lines.append(f'  "{label}";')
-    for a, b in cg.graph.edges:
-        lines.append(f'  "{point_label(a)}" -- "{point_label(b)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -167,8 +167,8 @@ class SolveRequest:
         if self.max_nodes is not None and not _int_at_least(self.max_nodes, 1):
             raise ValueError(f"max_nodes must be a positive integer or None, got {self.max_nodes!r}")
         secs = self.max_seconds
-        if secs is not None and not (_is_number(secs) and secs > 0):
-            raise ValueError(f"max_seconds must be positive or None, got {secs!r}")
+        if secs is not None and not (_is_number(secs) and 0 < secs < INFINITE):
+            raise ValueError(f"max_seconds must be positive and finite or None, got {secs!r}")
         if not _int_at_least(self.region_cap, 1):
             raise ValueError(f"region_cap must be a positive integer, got {self.region_cap!r}")
 
@@ -698,7 +698,7 @@ _RESULT_FIELDS = (
     ("optimum", lambda x: _int_at_least(x, 1), "an integer >= 1"),
     ("optimal", lambda x: isinstance(x, bool), "a bool"),
     ("explored", lambda x: _int_at_least(x, 0), "an integer >= 0"),
-    ("elapsed", lambda x: _is_number(x) and x >= 0, "a number >= 0"),
+    ("elapsed", lambda x: _is_number(x) and 0 <= x < INFINITE, "a finite number >= 0"),
     ("notes", lambda x: isinstance(x, list) and all(isinstance(n, str) for n in x),
      "a list of strings"),
 )

@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import formulas
 # Unused build_* names stay: the benchmark's traced run patches them here.
 from .constructions import (  # noqa: F401
+    CenteredGraph,
     build_cycle,
     build_degree_three,
     build_edge,
@@ -33,7 +34,6 @@ from .constructions import (  # noqa: F401
 )
 from .lattice_core import (
     INFINITE,
-    CenteredGraph,
     LatticeParity,
     _need_int,
     _need_parity,

@@ -38,7 +38,7 @@ def test_build_edge_rejects_radius():
     assert r.exit_code == 1
 
 
-def test_build_parity_only_for_cycle():
+def test_build_parity_either_lattice_for_cycle_own_lattice_for_others():
     r = run("build", "--family", "cycle", "--k", "2", "--p", "2",
             "--parity", "odd")
     assert r.exit_code == 0
@@ -161,6 +161,11 @@ CLI_ERRORS = {
     "build-parity-off-lattice": (
         lambda d: ["build", "--family", "e", "--k", "2", "--p", "3", "--parity", "odd"],
         "family 'e' lives on the even lattice, not odd",
+    ),
+    "solve-max-seconds-inf": (
+        lambda d: ["solve", "--k", "2", "--delta", "4", "--diameter", "2",
+                   "--max-seconds", "inf"],
+        "max_seconds",
     ),
 }
 

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+import meshddbs
 from meshddbs import (
     LatticeParity,
     MeshGraph,
@@ -24,6 +25,7 @@ from meshddbs import (
     graph_to_json,
     max_degree,
 )
+from meshddbs import lattice_core
 from meshddbs.constructions import BuildParams
 
 EVEN = LatticeParity.EVEN
@@ -340,3 +342,28 @@ def test_family_size_two_dim_closed_forms():
         assert family_size("eprime", 2, p) == 2 * p * p + 2 * p - 11
         assert family_size("o", 2, p) == 2 * p * p + 2 * p - 10
         assert family_size("oprime", 2, p) == 2 * p * p + 4 * p - 16
+
+
+#: ``meshddbs.__all__``, sorted: the public surface, kept across module moves.
+PUBLIC_NAMES = [
+    "AsymptoticTerms", "BallSpec", "BuildParams", "CenteredGraph", "ComparisonRow",
+    "ConditionCheck", "ConditionReport", "FreePair", "INFINITE", "LatticeParity", "MeshGraph",
+    "Point", "SolveRequest", "SolveResult", "__version__", "ball_count", "ball_enumerate",
+    "bfs_distances", "build_cycle", "build_degree_three", "build_edge", "build_even_core",
+    "build_even_extended", "build_family", "build_odd_core", "build_odd_extended",
+    "check_conditions", "compare_bounds", "count_points", "degrees", "diameter",
+    "eccentricity", "edge_count", "family_size", "find_free_pair", "graph_from_json",
+    "graph_to_dot", "graph_to_json", "is_connected", "l1_distance", "leading_terms",
+    "max_degree", "point_label", "report_lines", "rows_to_csv", "rows_to_pretty",
+    "solve_exact", "sweep_table", "two_term_value", "validate_point", "verify_witness",
+]
+
+
+def test_public_surface_is_pinned_and_families_live_in_constructions():
+    assert sorted(meshddbs.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        getattr(meshddbs, name)
+    for name in ("CenteredGraph", "graph_to_json", "graph_from_json", "graph_to_dot"):
+        assert getattr(meshddbs, name).__module__ == "meshddbs.constructions", name
+    assert not hasattr(lattice_core, "FAMILY_CODES")
+    assert not hasattr(lattice_core, "_FAMILY_LATTICE")

@@ -38,7 +38,13 @@ from meshddbs import (
 )
 from meshddbs import lattice_core
 from meshddbs.lattice_core import true_coordinate
-from meshddbs.solver import request_from_json, result_from_json, result_to_json, solve_exact
+from meshddbs.solver import (
+    request_from_json,
+    result_from_json,
+    result_from_obj,
+    result_to_json,
+    solve_exact,
+)
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -413,6 +419,14 @@ MALFORMED = {
     "request-max_nodes-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, max_nodes=True),
     "request-region_cap-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, region_cap=True),
     "request-max_seconds-bool": lambda: SolveRequest(k=2, delta=3, diameter=4, max_seconds=True),
+    "request-max_seconds-inf": lambda: SolveRequest(k=2, delta=3, diameter=4, max_seconds=math.inf),
+    "request-json-infinity": lambda: request_from_json(
+        '{"k":2,"delta":3,"diameter":4,"max_seconds":Infinity}'
+    ),
+    "result-elapsed-infinity": lambda: result_from_json(_result_json(elapsed=math.inf)),
+    "result-obj-elapsed-infinity": lambda: result_from_obj(
+        dict(json.loads(_result_json()), elapsed=math.inf)
+    ),
     "graph-edges-triple": lambda: graph_from_json(_graph_json(edges=[[0, 1, 2]])),
     "graph-edges-bool": lambda: graph_from_json(_graph_json(edges=[[0, True]])),
     "graph-edges-negative": lambda: graph_from_json(_graph_json(edges=[[-1, 0]])),

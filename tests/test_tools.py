@@ -4,6 +4,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,3 +125,5 @@ def test_ab_time_compares_a_checkout_with_itself():
     lines = run.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["base", "change", "ratio"]
     assert "12 items x 2 passes" in lines[0]
+    q1, q3 = map(float, re.search(r"per-repetition q1 ([\d.]+), q3 ([\d.]+)\)$", lines[2]).groups())
+    assert q1 <= q3

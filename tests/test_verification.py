@@ -23,7 +23,7 @@ from meshddbs import (
 )
 from meshddbs import constructions, verification
 from meshddbs.formulas import BallSpec, ball_enumerate
-from meshddbs.lattice_core import FAMILY_CODES, _centers
+from meshddbs.constructions import FAMILY_CODES, _centers
 from meshddbs.verification import CSV_HEADER, DIAMETER_SCAN_LIMIT, ComparisonRow
 
 EVEN = LatticeParity.EVEN

@@ -11,9 +11,12 @@ pass is checked by the side's own oracle, outside the clock.
 
 For each side the script prints the sum over items of the per-item
 median time, then the ratio CHANGE/BASE; below 1 means CHANGE is
-faster.  Only medians are reported: per-item minima shift by several
-per cent with the order in which the two packages were loaded.  The
-exit code is 1 when any operation of either side failed.
+faster.  Beside it stand the quartiles of the per-repetition ratios
+(CHANGE's pass total over BASE's in the same repetition): the spread a
+rerun of the ratio can be expected to show.  No minima are reported:
+per-item minima shift by several per cent with the order in which the
+two packages were loaded.  The exit code is 1 when any operation of
+either side failed.
 """
 
 from __future__ import annotations
@@ -92,7 +95,12 @@ def main(argv=None) -> int:
         sums.append(sum(map(statistics.median, zip(*times))))
         print(f"{side.label} {side.root}: {len(items)} items x {args.reps} passes, "
               f"sum of medians {sums[-1]:.4f} s")
-    print(f"ratio change/base: medians {sums[1] / sums[0]:.3f}")
+    ratios = [sum(c) / sum(b) for b, c in zip(runs[0][3], runs[1][3])]
+    if len(ratios) < 2:  # quantiles needs two points; one repeated gives its own value
+        ratios *= 2
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    print(f"ratio change/base: medians {sums[1] / sums[0]:.3f} "
+          f"(per-repetition q1 {q1:.3f}, q3 {q3:.3f})")
     if failed:
         print(f"{failed} operations failed", file=sys.stderr)
         return 1
