@@ -28,8 +28,9 @@ the core family on the plus side), and fill the otherwise empty central
 plane with degree-1 vertices hanging from the plus-side copy.
 
 The raw generators ``_stack``, ``_g3``, ``_edge`` and ``_cycle`` return
-vertex and edge sets, assembled by ``build_family`` into one
-``MeshGraph``; each public builder calls it.  Builders are pure
+a vertex list and flat index pairs into it, hashing no endpoint;
+``build_family``, which each public builder calls, passes both to one
+``MeshGraph`` for its bulk edge pass.  Builders are pure
 functions of their arguments; building twice yields identical graphs.
 For k >= 2 and p < 3 the stacked families degenerate to a
 one-dimensional path along axis 1 with the same family tag.
@@ -52,12 +53,15 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 from typing import NamedTuple
 
 from .lattice_core import (
     LatticeParity,
     MeshGraph,
     Point,
+    _IndexPairs,
     _int_at_least,
     _json_loads,
     _need_int,
@@ -173,20 +177,25 @@ def graph_to_dot(cg: CenteredGraph) -> str:
 # Shared stacking recipe
 # ============================================================
 
-def _lift(sub, level2: int):
-    """Copy raw (k-1)-dimensional (vertices, edges) into dimension k at doubled level."""
-    verts, edges = sub
-    return (
-        [v + (level2,) for v in verts],
-        [(a + (level2,), b + (level2,)) for a, b in edges],
-    )
+def _path_pairs(n: int) -> list:
+    """Flat index pairs of the path through positions 0, 1, ..., n - 1."""
+    return list(chain.from_iterable(zip(range(n - 1), range(1, n))))
 
 
-def _central_plane_pendants(plus_verts, p: int, odd: bool):
-    """Degree-1 vertices filling the central plane of an enlarged family.
+def _join(verts: list, flat: list, sub, level2: int) -> int:
+    """Append raw ``sub``, lifted to doubled level ``level2``, shifted; return its offset."""
+    offset = len(verts)
+    flat += map(add, sub[1], repeat(offset))
+    verts += [v + (level2,) for v in sub[0]]
+    return offset
 
-    Each pendant sits at (v, 0) and hangs from the vertex (v, 1) of the
-    plus-side copy.  Admission works in doubled coordinates:
+
+def _central_plane_pendants(plus_verts, p: int, odd: bool) -> list:
+    """Positions in the plus-side copy of the hooks of the central-plane pendants.
+
+    Each pendant of an enlarged family sits at (v, 0) and hangs from the
+    vertex (v, 1) of the plus-side copy.  Admission works in doubled
+    coordinates:
 
     * within the shrunken ball: sum of |coordinates| at most 2(p-2);
     * away from the spine: every coordinate nonzero on the even lattice,
@@ -194,25 +203,17 @@ def _central_plane_pendants(plus_verts, p: int, odd: bool):
 
     The budget test also bounds the last stacked coordinate, since
     |w[-1]| <= sum |w| <= 2(p-2) <= 2p-3, so no separate bound is needed.
-    Iterating over the plus-side copy keeps the hook vertex existent by
-    construction; admissible positions whose hook is absent (possible on
-    the odd lattice when all stacked coordinates vanish) are skipped.
+    Iterating over the plus-side copy gives every pendant an existing hook;
+    an admissible position without one (possible on the odd lattice when
+    all stacked coordinates vanish) gets no pendant.
     """
     limit = 2 * (p - 2)
-    verts = []
-    edges = []
-    for w in plus_verts:
-        if sum(map(abs, w)) > limit:
-            continue
-        if w[0] in (1, -1) if odd else not all(w):
-            continue
-        verts.append(w + (0,))
-        edges.append((w + (0,), w + (2,)))
-    return verts, edges
+    return [i for i, w in enumerate(plus_verts)
+            if sum(map(abs, w)) <= limit and (w[0] not in (1, -1) if odd else all(w))]
 
 
 def _stack(odd: bool, enlarged: bool, k: int, p: int, memo: dict):
-    """Raw (vertices, edges) of family e, eprime, o or oprime.
+    """Raw (vertices, flat index pairs) of family e, eprime, o or oprime.
 
     Follows the stacking recipe in the module docstring.  For k == 1 or
     p < 3 the result is the axis path spanning true [-p, p] (even) or
@@ -225,29 +226,27 @@ def _stack(odd: bool, enlarged: bool, k: int, p: int, memo: dict):
     if k == 1 or p < 3:
         top = 2 * p + odd
         path = [(x,) + (0,) * (k - 1) for x in range(-top, top + 1, 2)]
-        memo[key] = path, list(zip(path, path[1:]))
+        memo[key] = path, _path_pairs(len(path))
         return memo[key]
-    layers = []
-    for i in range(2 if enlarged else 1, p - 1):
-        sub = _stack(odd, enlarged, k - 1, p - i, memo)
-        layers += [_lift(sub, 2 * i), _lift(sub, -2 * i)]
+    levels = [(s * i, enlarged, p - i) for i in range(2 if enlarged else 1, p - 1) for s in (1, -1)]
     if enlarged:
-        core = _stack(odd, False, k - 1, p - 1, memo)
-        layers += [
-            _lift(_stack(odd, True, k - 1, p - 1, memo), -2),
-            _lift(core, 2),
-            _central_plane_pendants(core[0], p, odd),
-        ]
-    centers = _centers(odd, k)
-    verts = set(centers)
-    edges = set()
-    for sv, se in layers:
-        verts.update(sv)
-        edges.update(se)
-    for c in centers:
-        for j in range(-(p - 2), p - 2):
-            edges.add((c[:-1] + (2 * j,), c[:-1] + (2 * j + 2,)))
-    memo[key] = verts, edges
+        levels += [(-1, True, p - 1), (1, False, p - 1)]
+    verts = list(_centers(odd, k))
+    flat = []
+    first = {0: 0}  # level -> position of its first center; an odd second follows
+    for level, big, q in levels:
+        sub = _stack(odd, big, k - 1, q, memo)
+        # A copy lists its centers first, or, as an axis path, q steps in.
+        first[level] = _join(verts, flat, sub, 2 * level) + (q if k == 2 or q < 3 else 0)
+    if enlarged:
+        # The plus-side core copy, joined last, carries the pendants' hooks.
+        hooks = [i + len(verts) - len(sub[0]) for i in _central_plane_pendants(sub[0], p, odd)]
+        flat += chain.from_iterable(zip(range(len(verts), len(verts) + len(hooks)), hooks))
+        verts += [verts[i][:-1] + (0,) for i in hooks]
+    for t in range(1 + odd):
+        for level in range(-(p - 2), p - 2):
+            flat += (first[level] + t, first[level + 1] + t)
+    memo[key] = verts, flat
     return memo[key]
 
 
@@ -382,24 +381,24 @@ def _g3_size(k: int, p: int) -> int:
 
 
 def _g3(k: int, p: int):
-    """Raw (vertices, edges) of family g3, by the recursion of ``_g3_size``."""
+    """Raw (vertices, flat index pairs) of family g3, by the recursion of ``_g3_size``."""
     if k == 1:
         return _stack(False, False, 1, p, {})
     m = -(-p // 4) - 1
     inner = _g3(k - 1, p // 4)
-    v1, v2 = _free_pair(inner[1])
-    verts = set()
-    edges = set()
+    iv = inner[0]
+    ends = list(map(iv.__getitem__, inner[1]))
+    i1, i2 = map(iv.index, _free_pair(zip(ends[0::2], ends[1::2])))
+    n = len(iv)
+    verts, flat = [], []
     for i in range(-m, m + 1):
-        sv, se = _lift(inner, 2 * i)
-        verts.update(sv)
-        edges.update(se)
+        at = _join(verts, flat, inner, 2 * i)
         if i % 2 == 0:
             if i < m:
-                edges.add((v1 + (2 * i,), v1 + (2 * i + 2,)))
+                flat += (at + i1, at + n + i1)
             if i > -m:
-                edges.add((v2 + (2 * i,), v2 + (2 * i - 2,)))
-    return verts, edges
+                flat += (at + i2, at - n + i2)
+    return verts, flat
 
 
 def build_degree_three(k: int, p: int) -> CenteredGraph:
@@ -423,10 +422,8 @@ def build_degree_three(k: int, p: int) -> CenteredGraph:
 # ============================================================
 
 def _edge(k: int, p: int, parity: LatticeParity):
-    """Raw (vertices, edges) of family edge: the origin and its axis-1 neighbour."""
-    origin = (0,) * k
-    other = (2,) + (0,) * (k - 1)
-    return [origin, other], [(origin, other)]
+    """Raw (vertices, flat index pairs) of family edge: the origin and its axis-1 neighbour."""
+    return [(0,) * k, (2,) + (0,) * (k - 1)], [0, 1]
 
 
 def build_edge(k: int) -> CenteredGraph:
@@ -444,20 +441,16 @@ def _cycle_params(k: int, p: int, parity: LatticeParity) -> None:
 
 
 def _cycle(k: int, p: int, parity: LatticeParity):
-    """Raw (vertices, edges) of family cycle: two rows joined by their end rungs."""
+    """Raw (vertices, flat index pairs) of family cycle: two rows joined by their end rungs."""
     tail = (0,) * (k - 2)
     if parity is EVEN:
         xs = list(range(-2 * (p - 1), 2 * p + 1, 2))
     else:
         xs = list(range(-(2 * p - 1), 2 * p + 2, 2))
-    bottom = [(x,) + tail + (0,) for x in xs]
-    top = [(x,) + tail + (2,) for x in xs]
-    edges = []
-    for row in (bottom, top):
-        edges.extend((row[i], row[i + 1]) for i in range(len(row) - 1))
-    edges.append((bottom[0], top[0]))
-    edges.append((bottom[-1], top[-1]))
-    return bottom + top, edges
+    n = len(xs)
+    row = _path_pairs(n)
+    flat = row + list(map(add, row, repeat(n))) + [0, n, n - 1, 2 * n - 1]
+    return [(x,) + tail + (0,) for x in xs] + [(x,) + tail + (2,) for x in xs], flat
 
 
 def build_cycle(k: int, p: int, parity: LatticeParity = EVEN) -> CenteredGraph:
@@ -537,7 +530,8 @@ def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
         ValueError: unknown family code or arguments the family rejects.
     """
     row, p, parity = _family_args(family, k, p, parity)
-    graph = MeshGraph(parity, k, *row.raw(k, p, parity))
+    verts, flat = row.raw(k, p, parity)
+    graph = MeshGraph(parity, k, verts, _IndexPairs(flat))
     return CenteredGraph(graph, _centers(parity is ODD, k), p, family)
 
 

@@ -11,13 +11,16 @@ Two lattice points are mesh neighbours exactly when their true taxicab
 distance is 1, which in doubled coordinates reads as distance 2.  Graphs
 here carry explicit edge sets: a graph may use fewer edges than the mesh
 induces on its vertex set, but never an edge the mesh does not provide.
-No family is named here: ``constructions`` holds them and their graph files.
+``MeshGraph`` checks its edges in one bulk pass over integer positions,
+walking them only to name a bad one.  No family is named here:
+``constructions`` holds them and their graph files.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from enum import Enum
 from functools import reduce
 from itertools import chain, repeat
@@ -180,12 +183,11 @@ def _keys(pts: list, k: int, parity: LatticeParity):
     return key, steps
 
 
-def _adjacency(edges: list, index: dict, key: tuple, steps: frozenset) -> tuple:
-    """Neighbour rows of the positions in ``index``: ascending, without repeats.
+def _adjacency(edges, index: dict, key: list, steps: frozenset) -> tuple:
+    """``_rows`` by a walk in input order, run when the bulk pass refuses an edge.
 
-    The edges are walked in input order and the first bad one is named
-    in a ValueError.  An edge is a mesh edge when its endpoints' keys
-    (see ``_keys``) differ by one of ``steps``.
+    The first bad edge is named in a ValueError.  An edge is a mesh edge
+    when its endpoints' keys (see ``_keys``) differ by one of ``steps``.
     """
     get = index.get
     rows = [set() for _ in index]
@@ -209,6 +211,34 @@ def _adjacency(edges: list, index: dict, key: tuple, steps: frozenset) -> tuple:
     return tuple(map(tuple, map(sorted, rows)))
 
 
+class _IndexPairs(list):
+    """Edges as flat positions into ``MeshGraph``'s vertex list, two per edge, all in range."""
+
+
+def _point_ends(edges: list, index: dict):
+    """Flat ``index`` positions of the ends of ``edges``; None if one is no pair of vertices."""
+    try:
+        if set(map(len, edges)) - {2}:
+            return None
+        ends = list(map(index.get, map(tuple, chain.from_iterable(edges))))
+    except TypeError:
+        return None
+    return None if None in ends or len(ends) != 2 * len(edges) else ends
+
+
+def _rows(ends: list, key: list, steps: frozenset):
+    """Sorted neighbour rows of the flat positions ``ends``; None if a key difference is no step."""
+    a, b = ends[0::2], ends[1::2]
+    at = key.__getitem__
+    if not set(map(sub, map(at, b), map(at, a))) <= steps:
+        return None
+    rows = [set() for _ in key]
+    row = rows.__getitem__
+    deque(map(set.add, map(row, a), b), maxlen=0)
+    deque(map(set.add, map(row, b), a), maxlen=0)
+    return tuple(map(tuple, map(sorted, rows)))
+
+
 class MeshGraph:
     """Immutable graph whose vertices sit on one mesh lattice.
 
@@ -221,13 +251,13 @@ class MeshGraph:
     one adjacency over positions and the edge count.  One scan of the
     coordinate columns validates the vertices and gives each an integer
     key that sorts as the point does (see ``_keys``); the vertices are
-    deduplicated and sorted by key.  One walk over the edges tests each
-    by the difference of its endpoints' keys and fills the neighbour
-    rows, which are then deduplicated and sorted, so ``neighbors``
-    returns sorted points.  No edge tuple is stored: ``edges`` builds
-    the sorted pairs from the adjacency on each access, and
-    ``edge_count`` reads the count.  Only this module reads the stored
-    index and adjacency.
+    deduplicated and sorted by key.  Edges become flat positions (point
+    pairs by one bulk ``index.get``; builders and the JSON codec pass
+    index pairs), tested in one bulk pass by their keys' differences and
+    filled into sorted rows, so ``neighbors`` returns sorted points; a
+    walk runs only to name a refused edge.  No edge tuple is stored:
+    ``edges`` builds the sorted pairs on each access, and ``edge_count``
+    reads the count.  Only this module reads the index and adjacency.
     """
 
     __slots__ = ("parity", "k", "vertices", "_edge_count", "_index", "_iadj")
@@ -247,10 +277,21 @@ class MeshGraph:
                 validate_point(v, k, parity)
         key, steps = keyed
         at = dict(zip(key, pts))
-        key = sorted(at)
-        vts = tuple(map(at.__getitem__, key))
+        skey = sorted(at)
+        vts = tuple(map(at.__getitem__, skey))
         index = dict(zip(vts, range(len(vts))))
-        iadj = _adjacency(_field_list(edges, "edges"), index, key, steps)
+        if type(edges) is _IndexPairs:
+            # One list maps each input position to its canonical one.
+            canon = list(map(dict(zip(skey, range(len(skey)))).__getitem__, key))
+            ends = list(map(canon.__getitem__, edges))
+            edges = zip(*[map(pts.__getitem__, edges)] * 2)  # point pairs, for the walk
+        else:
+            edges = _field_list(edges, "edges")
+            ends = _point_ends(edges, index)
+        iadj = None if ends is None else _rows(ends, skey, steps)
+        if iadj is None:
+            # Some edge is refused; the walk names the first in input order.
+            iadj = _adjacency(edges, index, skey, steps)
         self.parity = parity
         self.k = k
         self.vertices = vts
@@ -444,14 +485,14 @@ def mesh_to_obj(g: MeshGraph, centers=(), family: str = "", p: int = 0) -> dict:
     }
 
 
-def _index_pairs_valid(pairs: list, n: int) -> bool:
-    """True when every entry of ``pairs`` is a list of two int indices in [0, n)."""
-    if not pairs:
-        return True
-    if not all(map(isinstance, pairs, repeat(list))) or set(map(len, pairs)) != {2}:
-        return False
+def _flat_index_pairs(pairs: list, n: int):
+    """``pairs`` flattened, or None unless each entry is a list of two int indices in [0, n)."""
+    if not all(map(isinstance, pairs, repeat(list))) or set(map(len, pairs)) - {2}:
+        return None
     flat = list(chain.from_iterable(pairs))
-    return _all_ints(flat) and min(flat) >= 0 and max(flat) < n
+    if _all_ints(flat) and min(flat, default=0) >= 0 and max(flat, default=-1) < n:
+        return flat
+    return None
 
 
 def _need_keys(obj, what: str, keys) -> None:
@@ -487,15 +528,14 @@ def mesh_from_obj(obj: dict):
     pairs = obj["edges"]
     if not isinstance(pairs, list):
         raise ValueError("field edges must be a list of index pairs")
-    if not _index_pairs_valid(pairs, n):
+    flat = _flat_index_pairs(pairs, n)
+    if flat is None:
         for pair in pairs:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError(f"edge {pair!r} is not an index pair")
             if not all(_int_at_least(i, 0) and i < n for i in pair):
                 raise ValueError(f"edge index pair {pair!r} is out of range")
-    ends = list(map(verts.__getitem__, chain.from_iterable(pairs)))
-    edges = list(zip(ends[::2], ends[1::2]))
-    g = MeshGraph(parity, k, verts, edges)
+    g = MeshGraph(parity, k, verts, _IndexPairs(flat))
     if not isinstance(obj["centers"], list):
         raise ValueError("field centers must be a list of vertex indices")
     centers = []

@@ -89,10 +89,11 @@ leaf feasible, a smaller feasible set would come first.  Any subset of
 the group is sound, and the generators catch nearly every leaf that all
 2^k k! - 1 maps would, at a fraction of the cost.  Region points carry
 integer keys that sort as the points do and turn translation into a
-subtraction (see ``_symmetry_keys``); the key lists are built once per
-solve.  Leaves that need no shedding are cheap and skip the test, so at
-delta = 2k and in induced mode the search is unchanged.  Only leaves
-are cut, so the optimum, the optimal flag and the witness stay.
+subtraction (see ``_symmetry_keys``); the key lists are built on the
+first shedding leaf of a solve.  Leaves that need no shedding are cheap
+and skip the test, so at delta = 2k and in induced mode the search is
+unchanged.  Only leaves are cut, so the optimum, the optimal flag and
+the witness stay.
 
 Induced degree cut.  In induced mode no edge is dropped, so a chosen
 vertex's degree is its number of chosen mesh neighbours, and it only
@@ -108,6 +109,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from operator import mul
 
 from . import formulas
@@ -295,8 +297,8 @@ def _colours(compat, cand, need):
 class _Search:
     """Fixed-size subset search over the canonical half ball.
 
-    ``symmetry`` is the ``(keys, images)`` pair of ``_symmetry_keys`` for
-    the region that ``adj`` describes.
+    ``symmetry()`` returns the ``(keys, images)`` pair of ``_symmetry_keys``
+    for the region that ``adj`` describes; the first shedding leaf calls it.
     """
 
     def __init__(self, adj, compat, delta, bound, mode, budget, symmetry):
@@ -310,7 +312,8 @@ class _Search:
         # Every feasible set is a clique of compat, but below delta = 2k
         # the colouring costs more than it saves (see the module docstring).
         self.colour_bound = all(a.bit_count() <= delta for a in adj)
-        self.keys, self.images = symmetry
+        self.symmetry = symmetry
+        self.keys = self.images = None
 
     def run(self, target):
         self.target = target
@@ -407,6 +410,8 @@ class _Search:
         subtracting its smallest key, then compared as a sorted key list
         with the keys of ``chosen``, which index order already sorts.
         """
+        if self.keys is None:
+            self.keys, self.images = self.symmetry()
         own = [self.keys[v] for v in chosen]
         for image in self.images:
             moved = sorted([image[v] for v in chosen])
@@ -591,7 +596,8 @@ def solve_exact(req: SolveRequest) -> SolveResult:
     compat = [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i) for i in range(n_r)]
 
     budget = _Budget(req.max_nodes, req.max_seconds)
-    search = _Search(adj, compat, delta, bound, req.mode, budget, _symmetry_keys(pts, bound))
+    search = _Search(adj, compat, delta, bound, req.mode, budget,
+                     partial(_symmetry_keys, pts, bound))
     n_hi = min(n_r, _bipartite_moore(delta, bound))
 
     found = None

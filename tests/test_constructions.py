@@ -26,7 +26,7 @@ from meshddbs import (
     max_degree,
 )
 from meshddbs import lattice_core
-from meshddbs.constructions import BuildParams
+from meshddbs.constructions import _FAMILIES, FAMILY_CODES, BuildParams
 
 EVEN = LatticeParity.EVEN
 ODD = LatticeParity.ODD
@@ -273,6 +273,22 @@ def test_other_builders_byte_exact(family):
             for parity in (EVEN, ODD) if family == "cycle" else (None,):
                 h.update((graph_to_json(build_family(family, k, p, parity)) + "\n").encode())
     assert h.hexdigest() == OTHER_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", FAMILY_CODES)
+def test_raw_generators_give_index_pairs(family):
+    # Each raw generator returns a vertex list and flat int positions into
+    # it, two per edge; the point pairs they denote make the built graph.
+    for k, ps in STACKED_GRID if family in STACKED_DIGESTS else OTHER_GRID[family]:
+        for p in ps:
+            for parity in (EVEN, ODD) if family == "cycle" else (None,):
+                built = build_family(family, k, p, parity)
+                verts, flat = _FAMILIES[family].raw(k, built.p, built.graph.parity)
+                assert type(verts) is list and type(flat) is list and len(flat) % 2 == 0
+                assert all(type(i) is int and 0 <= i < len(verts) for i in flat)
+                ends = [verts[i] for i in flat]
+                pairs = list(zip(ends[0::2], ends[1::2]))
+                assert MeshGraph(built.graph.parity, k, verts, pairs) == built.graph
 
 
 PUBLIC_BUILDERS = {

@@ -3,6 +3,7 @@
 import json
 import re
 from enum import IntEnum
+from functools import partial
 from itertools import permutations, product
 from math import prod
 
@@ -23,7 +24,13 @@ from meshddbs import (
     validate_point,
     verify_witness,
 )
-from meshddbs.lattice_core import MeshGraph, _index_pairs_valid, _int_at_least, _keys
+from meshddbs.lattice_core import (
+    MeshGraph,
+    _flat_index_pairs,
+    _int_at_least,
+    _keys,
+    mesh_from_obj,
+)
 from meshddbs.formulas import BallSpec, ball_enumerate
 from meshddbs.solver import (
     _Budget,
@@ -240,7 +247,56 @@ def test_bulk_index_pair_test_agrees_with_the_pair_loop(n, data):
         return (isinstance(pair, list) and len(pair) == 2
                 and all(_int_at_least(i, 0) and i < n for i in pair))
 
-    assert _index_pairs_valid(pairs, n) == all(map(valid, pairs))
+    flat = _flat_index_pairs(pairs, n)
+    assert (flat is not None) == all(map(valid, pairs))
+    assert flat is None or flat == [i for pair in pairs for i in pair]
+
+
+def _outcome(make):
+    """What ``make()`` returns, or the text of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(parities, st.integers(1, 3), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_point_pairs_and_index_pairs_give_one_graph(parity, k, p, data):
+    ball = sorted(ball_enumerate(BallSpec(parity, k, p)))
+    verts = data.draw(st.lists(st.sampled_from(ball), min_size=1, max_size=20))
+    verts += data.draw(st.lists(st.sampled_from(verts), max_size=5))  # duplicates
+    verts = data.draw(st.permutations(verts))
+    n = len(verts)
+    ends = [[i, j] for i in range(n) for j in range(n)]
+    kinds = [
+        [e for e in ends if l1_distance(verts[e[0]], verts[e[1]]) == 2],  # good
+        [e for e in ends if l1_distance(verts[e[0]], verts[e[1]]) > 2],  # non-mesh
+        [e for e in ends if verts[e[0]] == verts[e[1]]],  # self-loops, duplicates included
+    ]
+    kinds = [kind for kind in kinds if kind]
+    pairs = data.draw(st.lists(st.one_of(*map(st.sampled_from, kinds)), max_size=25))
+    obj = {"parity": parity.value, "k": k, "coord_scale": 2, "family": "e", "p": 0,
+           "vertices": [list(v) for v in verts], "edges": pairs, "centers": []}
+
+    def by_points(pairs, points):
+        return _outcome(lambda: MeshGraph(parity, k, verts, [tuple(map(points.__getitem__, e))
+                                                              for e in pairs]))
+
+    if not data.draw(st.booleans()):
+        assert by_points(pairs, verts) == _outcome(lambda: mesh_from_obj(obj)[0])
+        return
+    # One dangling pair: an index past the vertex list, a point off the vertex set.
+    at = data.draw(st.integers(0, len(pairs)))
+    bad = [data.draw(st.integers(0, n - 1)), n]
+    obj["edges"] = pairs[:at] + [bad] + pairs[at:]
+    outside = verts + [(max(ball)[0] + 4,) + (0,) * (k - 1)]
+    a, b = verts[bad[0]], outside[n]
+    before = by_points(pairs[:at], verts)
+    want = before if isinstance(before, str) else (
+        f"edge {a!r} -- {b!r} has an endpoint outside the vertex set")
+    assert by_points(obj["edges"], outside) == want
+    assert _outcome(lambda: mesh_from_obj(obj)) == f"edge index pair {bad!r} is out of range"
 
 
 @given(parities, st.integers(1, 4), st.data())
@@ -323,7 +379,7 @@ def test_kept_search_reach_equals_fresh_reach(region, data):
     k, bound = region
     pts, adj = _region(k, bound)
     n = len(adj)
-    search = _Search(adj, None, 2 * k, bound, "exact", None, _symmetry_keys(pts, bound))
+    search = _Search(adj, None, 2 * k, bound, "exact", None, partial(_symmetry_keys, pts, bound))
     chosen = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=6)))
     smask = sum(1 << v for v in chosen)
     # uniform bits: each region vertex is allowed, then dropped, with odds 1/2
@@ -368,7 +424,7 @@ def test_kept_shed_layers_equal_fresh_layers(region, data):
     chosen.sort()
     rows = [adj[v] & smask if smask >> v & 1 else 0 for v in range(len(adj))]
     hops = data.draw(st.integers(1, 2 * bound))
-    search = _Search(adj, None, 2 * k, hops, "exact", None, _symmetry_keys(pts, bound))
+    search = _Search(adj, None, 2 * k, hops, "exact", None, partial(_symmetry_keys, pts, bound))
     sources = chosen[:-1]
 
     def fresh(rows):
@@ -466,7 +522,7 @@ def test_shedding_finds_an_edge_subset_exactly_when_one_exists(region, data):
     # at least 2: a cap of 1 fits no connected graph on 3 or more vertices
     delta = max(max(rows[v].bit_count() for v in chosen) - data.draw(st.integers(1, 2)), 2)
     search = _Search(adj, None, delta, hops, "exact", _Budget(None, None),
-                     _symmetry_keys(pts, bound))
+                     partial(_symmetry_keys, pts, bound))
     layers = [_reach(rows, 1 << v, smask, hops)[1] for v in chosen[:-1]]
     shed = search._shed_degrees(rows, chosen, smask, layers)
 
@@ -531,7 +587,7 @@ def test_leaf_symmetry_test_matches_point_tuples(region, data):
         chosen.append(v)
         cand &= compat[v]
     chosen.sort()
-    search = _Search(adj, compat, 1, bound, "exact", None, _symmetry_keys(pts, bound))
+    search = _Search(adj, compat, 1, bound, "exact", None, partial(_symmetry_keys, pts, bound))
     cut = search._has_smaller_image(chosen)
 
     own = [pts[v] for v in chosen]

@@ -90,7 +90,8 @@ def test_feasibility_is_not_monotone_in_size():
     pts, adj = _region(2, 3)
     every = (1 << len(adj)) - 1
     compat = [_reach(adj, 1 << i, every, 3)[0] & ~(1 << i) for i in range(len(adj))]
-    search = _Search(adj, compat, 2, 3, "exact", _Budget(None, None), _symmetry_keys(pts, 3))
+    search = _Search(adj, compat, 2, 3, "exact", _Budget(None, None),
+                     functools.partial(_symmetry_keys, pts, 3))
     assert search.run(5) is None
     chosen, edges = search.run(6)
     assert (len(chosen), len(edges)) == (6, 6)

@@ -12,11 +12,14 @@ pass is checked by the side's own oracle, outside the clock.
 For each side the script prints the sum over items of the per-item
 median time, then the ratio CHANGE/BASE; below 1 means CHANGE is
 faster.  Beside it stand the quartiles of the per-repetition ratios
-(CHANGE's pass total over BASE's in the same repetition): the spread a
-rerun of the ratio can be expected to show.  No minima are reported:
-per-item minima shift by several per cent with the order in which the
-two packages were loaded.  The exit code is 1 when any operation of
-either side failed.
+(CHANGE's pass total over BASE's in the same repetition).  The two
+weigh slow items differently: the headline sums each item's median over
+all repetitions, while a pass total counts a slow spell on a few items
+in full, so the headline can fall outside the quartiles.  Read the
+quartiles as the spread of whole passes, not as an interval around the
+headline.  No minima are reported: per-item minima shift by several per
+cent with the order in which the two packages were loaded.  The exit
+code is 1 when any operation of either side failed.
 """
 
 from __future__ import annotations
