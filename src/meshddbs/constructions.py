@@ -50,7 +50,6 @@ its lattice fixes; ``graph_to_json``, ``graph_from_json`` and
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -63,6 +62,7 @@ from .lattice_core import (
     Point,
     _IndexPairs,
     _int_at_least,
+    _json_dumps,
     _json_loads,
     _need_int,
     _need_parity,
@@ -142,8 +142,7 @@ def graph_to_json(cg: CenteredGraph) -> str:
     Round trip is byte exact: parsing this text and serialising the
     result reproduces it unchanged.
     """
-    obj = mesh_to_obj(cg.graph, cg.centers, cg.family, cg.p)
-    return json.dumps(obj, separators=(",", ":"))
+    return _json_dumps(mesh_to_obj(cg.graph, cg.centers, cg.family, cg.p))
 
 
 def graph_from_json(text: str) -> CenteredGraph:

@@ -11,8 +11,8 @@ Two lattice points are mesh neighbours exactly when their true taxicab
 distance is 1, which in doubled coordinates reads as distance 2.  Graphs
 here carry explicit edge sets: a graph may use fewer edges than the mesh
 induces on its vertex set, but never an edge the mesh does not provide.
-``MeshGraph`` checks its edges in one bulk pass over integer positions,
-walking them only to name a bad one.  No family is named here:
+``MeshGraph`` reads index pairs by one bulk test, point pairs by one
+walk, and fills both into rows one way.  No family is named here:
 ``constructions`` holds them and their graph files.
 """
 
@@ -72,9 +72,11 @@ def validate_point(coords, k: int, parity: LatticeParity) -> Point:
         The validated point as a tuple.
 
     Raises:
-        ValueError: not a sequence, wrong dimension, non-integer entries,
-            or a doubled pattern that does not match the lattice parity.
+        ValueError: bad ``k`` or ``parity``; not a sequence, wrong dimension,
+            non-integer entries, or a doubled pattern off the lattice.
     """
+    _need_int(k, 1, "dimension k")
+    _need_parity(parity)
     try:
         pt = tuple(coords)
     except TypeError:
@@ -84,11 +86,8 @@ def validate_point(coords, k: int, parity: LatticeParity) -> Point:
     for c in pt:
         if not isinstance(c, int) or isinstance(c, bool):
             raise ValueError(f"point {pt!r} has non-integer entry {c!r}")
-    first_odd = pt[0] & 1
-    if parity is LatticeParity.EVEN and first_odd:
-        raise ValueError(f"point {pt!r} is not on the even lattice")
-    if parity is LatticeParity.ODD and not first_odd:
-        raise ValueError(f"point {pt!r} is not on the odd lattice")
+    if (pt[0] & 1) != (parity is LatticeParity.ODD):
+        raise ValueError(f"point {pt!r} is not on the {parity.value} lattice")
     for c in pt[1:]:
         if c & 1:
             raise ValueError(f"point {pt!r} has an odd entry outside axis 1")
@@ -116,10 +115,12 @@ def l1_distance(a: Point, b: Point) -> int:
     for points of a common lattice.  Mesh neighbours are at distance 2.
 
     Raises:
-        ValueError: dimension mismatch, or one point per lattice.
+        ValueError: dimension mismatch, empty points, or one point per lattice.
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    if not a:
+        raise ValueError("points must have at least one coordinate")
     if (a[0] ^ b[0]) & 1:
         raise ValueError(f"lattice parity mismatch between {a!r} and {b!r}")
     return _l1(a, b)
@@ -127,9 +128,7 @@ def l1_distance(a: Point, b: Point) -> int:
 
 def true_coordinate(c: int) -> str:
     """Render one doubled coordinate as its true value, halves included."""
-    if c % 2 == 0:
-        return str(c // 2)
-    return f"{c}/2"
+    return str(c // 2) if c % 2 == 0 else f"{c}/2"
 
 
 def point_label(pt: Point) -> str:
@@ -183,14 +182,14 @@ def _keys(pts: list, k: int, parity: LatticeParity):
     return key, steps
 
 
-def _adjacency(edges, index: dict, key: list, steps: frozenset) -> tuple:
-    """``_rows`` by a walk in input order, run when the bulk pass refuses an edge.
+def _edge_ends(edges, index: dict, key: list, steps: frozenset) -> list:
+    """Flat ``index`` positions of point-pair ``edges``, two per edge, by a walk in input order.
 
-    The first bad edge is named in a ValueError.  An edge is a mesh edge
-    when its endpoints' keys (see ``_keys``) differ by one of ``steps``.
+    The one reader of point pairs; it names the first bad edge in a ValueError.
+    An edge is a mesh edge when its endpoints' keys (see ``_keys``) differ by one of ``steps``.
     """
     get = index.get
-    rows = [set() for _ in index]
+    ends = []
     for e in edges:
         try:
             a, b = map(tuple, e)
@@ -206,33 +205,18 @@ def _adjacency(edges, index: dict, key: list, steps: frozenset) -> tuple:
             raise ValueError(
                 f"edge {a!r} -- {b!r} is not a mesh edge (doubled distance {_l1(a, b)})"
             )
-        rows[i].add(j)
-        rows[j].add(i)
-    return tuple(map(tuple, map(sorted, rows)))
+        ends += i, j
+    return ends
 
 
 class _IndexPairs(list):
-    """Edges as flat positions into ``MeshGraph``'s vertex list, two per edge, all in range."""
+    """Edges as in-range positions into ``MeshGraph``'s vertex list, two per edge, tested in bulk."""
 
 
-def _point_ends(edges: list, index: dict):
-    """Flat ``index`` positions of the ends of ``edges``; None if one is no pair of vertices."""
-    try:
-        if set(map(len, edges)) - {2}:
-            return None
-        ends = list(map(index.get, map(tuple, chain.from_iterable(edges))))
-    except TypeError:
-        return None
-    return None if None in ends or len(ends) != 2 * len(edges) else ends
-
-
-def _rows(ends: list, key: list, steps: frozenset):
-    """Sorted neighbour rows of the flat positions ``ends``; None if a key difference is no step."""
+def _rows(ends: list, n: int) -> tuple:
+    """Sorted neighbour rows of ``n`` vertices from the flat positions ``ends``, two per edge."""
     a, b = ends[0::2], ends[1::2]
-    at = key.__getitem__
-    if not set(map(sub, map(at, b), map(at, a))) <= steps:
-        return None
-    rows = [set() for _ in key]
+    rows = [set() for _ in range(n)]
     row = rows.__getitem__
     deque(map(set.add, map(row, a), b), maxlen=0)
     deque(map(set.add, map(row, b), a), maxlen=0)
@@ -251,11 +235,12 @@ class MeshGraph:
     one adjacency over positions and the edge count.  One scan of the
     coordinate columns validates the vertices and gives each an integer
     key that sorts as the point does (see ``_keys``); the vertices are
-    deduplicated and sorted by key.  Edges become flat positions (point
-    pairs by one bulk ``index.get``; builders and the JSON codec pass
-    index pairs), tested in one bulk pass by their keys' differences and
-    filled into sorted rows, so ``neighbors`` returns sorted points; a
-    walk runs only to name a refused edge.  No edge tuple is stored:
+    deduplicated and sorted by key.  Edges become flat positions: index
+    pairs (from the builders and the JSON codec) by one canon map and one
+    bulk test of their keys' differences, point pairs by the walk
+    ``_edge_ends``, which also names the first bad edge of either form.
+    One fill, ``_rows``, turns the positions into sorted rows, so
+    ``neighbors`` returns sorted points.  No edge tuple is stored:
     ``edges`` builds the sorted pairs on each access, and ``edge_count``
     reads the count.  Only this module reads the index and adjacency.
     """
@@ -284,14 +269,13 @@ class MeshGraph:
             # One list maps each input position to its canonical one.
             canon = list(map(dict(zip(skey, range(len(skey)))).__getitem__, key))
             ends = list(map(canon.__getitem__, edges))
-            edges = zip(*[map(pts.__getitem__, edges)] * 2)  # point pairs, for the walk
+            key_at = skey.__getitem__
+            if not set(map(sub, map(key_at, ends[1::2]), map(key_at, ends[0::2]))) <= steps:
+                # Some pair is no mesh edge; the walk names the first in input order.
+                _edge_ends(zip(*[map(pts.__getitem__, edges)] * 2), index, skey, steps)
         else:
-            edges = _field_list(edges, "edges")
-            ends = _point_ends(edges, index)
-        iadj = None if ends is None else _rows(ends, skey, steps)
-        if iadj is None:
-            # Some edge is refused; the walk names the first in input order.
-            iadj = _adjacency(edges, index, skey, steps)
+            ends = _edge_ends(_field_list(edges, "edges"), index, skey, steps)
+        iadj = _rows(ends, len(vts))
         self.parity = parity
         self.k = k
         self.vertices = vts
@@ -546,6 +530,11 @@ def mesh_from_obj(obj: dict):
     p = obj["p"]
     _need_int(p, 0, "field p")
     return g, tuple(centers), obj["family"], p
+
+
+def _json_dumps(obj) -> str:
+    """Canonical single-line JSON text: no spaces, keys in the order given."""
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _no_constant(token: str):

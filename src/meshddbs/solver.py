@@ -106,7 +106,6 @@ meets the same lexicographically smallest witness, in fewer nodes.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
@@ -118,6 +117,7 @@ from .lattice_core import (
     LatticeParity,
     MeshGraph,
     _int_at_least,
+    _json_dumps,
     _json_loads,
     _need_int,
     _need_keys,
@@ -746,7 +746,7 @@ def result_from_obj(obj: dict) -> SolveResult:
 
 
 def request_to_json(req: SolveRequest) -> str:
-    return json.dumps(request_to_obj(req), separators=(",", ":"))
+    return _json_dumps(request_to_obj(req))
 
 
 def request_from_json(text: str) -> SolveRequest:
@@ -754,7 +754,7 @@ def request_from_json(text: str) -> SolveRequest:
 
 
 def result_to_json(res: SolveResult) -> str:
-    return json.dumps(result_to_obj(res), separators=(",", ":"))
+    return _json_dumps(result_to_obj(res))
 
 
 def result_from_json(text: str) -> SolveResult:

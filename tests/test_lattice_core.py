@@ -126,6 +126,27 @@ def test_malformed_entry_is_named(vertices, edges, named):
         MeshGraph(EVEN, 1, vertices, edges)
 
 
+def _unsized(edges, form):
+    """``edges`` with each edge, or the edge list itself, as a one-shot iterable."""
+    if form == "iterators":
+        return [iter(e) for e in edges]
+    if form == "generators":
+        return [(p for p in e) for e in edges]
+    return (e for e in edges)
+
+
+@pytest.mark.parametrize("form", ["iterators", "generators", "generator-list"])
+def test_unsized_edges_read_as_their_list_form(form):
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    good = [((0, 0), (2, 0)), ((2, 2), (2, 0)), ((0, 2), (0, 0))]
+    assert MeshGraph(EVEN, 2, square, _unsized(good, form)) == MeshGraph(EVEN, 2, square, good)
+    for bad in ([((0, 0), (2, 2))], [((0, 0), (4, 0))], [((0, 0), [0, 2]), ((0, 0), (2, 2))]):
+        with pytest.raises(ValueError) as listed:
+            MeshGraph(EVEN, 2, square, good + bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(listed.value))}$"):
+            MeshGraph(EVEN, 2, square, _unsized(good + bad, form))
+
+
 def test_graph_rejects_off_parity_vertex():
     with pytest.raises(ValueError):
         MeshGraph(ODD, 2, [(0, 0)], [])
@@ -446,6 +467,10 @@ MALFORMED = {
     "meshgraph-edges-none": lambda: MeshGraph(EVEN, 2, [(0, 0)], None),
     "meshgraph-edge-unhashable": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [(([0],), (2,))]),
     "meshgraph-edge-triple": lambda: MeshGraph(EVEN, 1, [(0,), (2,)], [((0,), (2,), (4,))]),
+    "validate_point-parity-str": lambda: validate_point((1, 0), 2, "even"),
+    "validate_point-k-float": lambda: validate_point((0, 0), 2.0, EVEN),
+    "validate_point-empty": lambda: validate_point((), 0, EVEN),
+    "l1_distance-empty": lambda: l1_distance((), ()),
     "count_points-k-negative": lambda: count_points(EVEN, -1, 3),
     "count_points-k-float": lambda: count_points(EVEN, 2.5, 3),
     "count_points-k-bool": lambda: count_points(EVEN, True, 3),
