@@ -30,7 +30,9 @@ plane with degree-1 vertices hanging from the plus-side copy.
 The raw generators ``_stack``, ``_g3``, ``_edge`` and ``_cycle`` return
 a vertex list and flat index pairs into it, hashing no endpoint;
 ``build_family``, which each public builder calls, passes both to one
-``MeshGraph`` for its bulk edge pass.  Builders are pure
+``MeshGraph`` for its bulk edge pass.  ``build_family`` and the JSON
+codec run with the cyclic garbage collector paused, as ``MeshGraph``
+does (see ``lattice_core``).  Builders are pure
 functions of their arguments; building twice yields identical graphs.
 For k >= 2 and p < 3 the stacked families degenerate to a
 one-dimensional path along axis 1 with the same family tag.
@@ -61,6 +63,7 @@ from .lattice_core import (
     MeshGraph,
     Point,
     _IndexPairs,
+    _gc_paused,
     _int_at_least,
     _json_dumps,
     _json_loads,
@@ -136,6 +139,7 @@ class CenteredGraph:
                 raise ValueError(f"center {c!r} is not a vertex of the graph")
 
 
+@_gc_paused
 def graph_to_json(cg: CenteredGraph) -> str:
     """Canonical single-line JSON text for a built family member.
 
@@ -145,6 +149,7 @@ def graph_to_json(cg: CenteredGraph) -> str:
     return _json_dumps(mesh_to_obj(cg.graph, cg.centers, cg.family, cg.p))
 
 
+@_gc_paused
 def graph_from_json(text: str) -> CenteredGraph:
     """Parse canonical graph JSON back into a CenteredGraph.
 
@@ -517,6 +522,7 @@ def _family_args(family: str, k, p, parity):
     return row, p, parity
 
 
+@_gc_paused
 def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
     """Build any family by its code.
 

@@ -14,15 +14,25 @@ induces on its vertex set, but never an edge the mesh does not provide.
 ``MeshGraph`` reads index pairs by one bulk test, point pairs by one
 walk, and fills both into rows one way.  No family is named here:
 ``constructions`` holds them and their graph files.
+
+Building a graph allocates tens of thousands of lists, tuples, sets and
+dicts, each of which Python's cyclic garbage collector would walk, in
+every generation it reaches, without ever freeing one: these containers
+form no reference cycles.  So ``MeshGraph``, ``build_family`` and the
+graph JSON codec run with the collector paused (``_gc_paused``), and
+reference counting frees their data as before.  A test runs the whole
+build, write, read and check pipeline with the collector off and finds
+no cyclic garbage left.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import deque
 from enum import Enum
-from functools import reduce
+from functools import reduce, wraps
 from itertools import chain, repeat
 from operator import add, and_, mul, or_, sub
 
@@ -54,10 +64,39 @@ def _need_int(x, least: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
 
 
+def _gc_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused, then restored.
+
+    Only a collector that is on is switched off, and the ``finally``
+    switches it back on, so nested uses are no-ops and a caller that
+    turned the collector off finds it off.  Fit only for code that
+    makes no reference cycles: the cycles it made would wait for a
+    later collection.  The switch is process-wide, so another thread
+    that turns the collector off during the pause finds it back on.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 def _need_parity(parity) -> None:
     """Raise ValueError unless ``parity`` is a ``LatticeParity``."""
     if not isinstance(parity, LatticeParity):
         raise ValueError(f"parity must be a LatticeParity, got {parity!r}")
+
+
+def _need_int_entries(pt) -> None:
+    """Raise ValueError naming the first entry of ``pt`` that is no int, or is a bool."""
+    for c in pt:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"point {pt!r} has non-integer entry {c!r}")
 
 
 def validate_point(coords, k: int, parity: LatticeParity) -> Point:
@@ -83,9 +122,7 @@ def validate_point(coords, k: int, parity: LatticeParity) -> Point:
         raise ValueError(f"point {coords!r} is not a sequence of coordinates") from None
     if len(pt) != k:
         raise ValueError(f"point {pt!r} has dimension {len(pt)}, expected {k}")
-    for c in pt:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"point {pt!r} has non-integer entry {c!r}")
+    _need_int_entries(pt)
     if (pt[0] & 1) != (parity is LatticeParity.ODD):
         raise ValueError(f"point {pt!r} is not on the {parity.value} lattice")
     for c in pt[1:]:
@@ -115,12 +152,15 @@ def l1_distance(a: Point, b: Point) -> int:
     for points of a common lattice.  Mesh neighbours are at distance 2.
 
     Raises:
-        ValueError: dimension mismatch, empty points, or one point per lattice.
+        ValueError: dimension mismatch, empty points, an entry that is no
+            int (or is a bool), or one point per lattice.
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if not a:
         raise ValueError("points must have at least one coordinate")
+    _need_int_entries(a)
+    _need_int_entries(b)
     if (a[0] ^ b[0]) & 1:
         raise ValueError(f"lattice parity mismatch between {a!r} and {b!r}")
     return _l1(a, b)
@@ -243,10 +283,16 @@ class MeshGraph:
     ``neighbors`` returns sorted points.  No edge tuple is stored:
     ``edges`` builds the sorted pairs on each access, and ``edge_count``
     reads the count.  Only this module reads the index and adjacency.
+
+    Construction runs with the cyclic garbage collector paused (see
+    ``_gc_paused``): the point tuples, keys, dicts and rows it makes hold
+    no reference cycles, so a collection during it would walk them all
+    and free nothing, and reference counting frees what it discards.
     """
 
     __slots__ = ("parity", "k", "vertices", "_edge_count", "_index", "_iadj")
 
+    @_gc_paused
     def __init__(self, parity: LatticeParity, k: int, vertices, edges):
         _need_parity(parity)
         _need_int(k, 1, "dimension k")
@@ -396,6 +442,16 @@ def is_connected(g: MeshGraph) -> bool:
     return not g.vertices or min(_int_bfs(g._iadj, 0)) >= 0
 
 
+def _two_sweep(g: MeshGraph, dist: list) -> int:
+    """Exact diameter of a tree ``g``, given ``dist``, the hop counts of a BFS from any vertex.
+
+    The classic two-sweep argument: a vertex farthest from any start
+    ends a longest path, so one more BFS, from it, reaches the diameter.
+    """
+    far = max(range(len(dist)), key=dist.__getitem__)
+    return max(_int_bfs(g._iadj, far))
+
+
 def _bit_parallel_diameter(iadj) -> int:
     """Diameter of a connected graph, from every source at once.
 
@@ -438,10 +494,8 @@ def diameter(g: MeshGraph):
     if min(dist0) < 0:
         return INFINITE
     if g._edge_count == n - 1:
-        # Connected with n-1 edges means a tree: the classic two-sweep
-        # argument gives the exact diameter.
-        far = max(range(n), key=dist0.__getitem__)
-        return max(_int_bfs(iadj, far))
+        # Connected with n-1 edges means a tree.
+        return _two_sweep(g, dist0)
     if 6 * max(dist0) < n:
         return _bit_parallel_diameter(iadj)
     return max(max(_int_bfs(iadj, s)) for s in range(n))

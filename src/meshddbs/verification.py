@@ -37,6 +37,7 @@ from .lattice_core import (
     LatticeParity,
     _need_int,
     _need_parity,
+    _two_sweep,
     degrees,
     diameter,
     edge_count,
@@ -214,19 +215,21 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     The checks after it are the family's row of ``_CONDITIONS``, whose
     functions state the conditions.  The exact diameter is measured at
     most once: when a family's condition asks for it, at or below
-    ``DIAMETER_SCAN_LIMIT`` vertices, or on a tree.
+    ``DIAMETER_SCAN_LIMIT`` vertices, or on a tree, where the BFS from
+    the first center is the first of the two sweeps.
     """
     g = cg.graph
     n = len(g.vertices)
     center_dists = [hop_counts(g, c) for c in cg.centers]
     connected = all(min(d) >= 0 for d in center_dists) if n > 1 else True
     eccs = tuple(max(d) if min(d) >= 0 else INFINITE for d in center_dists)
-    diam = functools.cache(lambda: diameter(g))
+    tree = connected and edge_count(g) == n - 1
+    diam = functools.cache(lambda: _two_sweep(g, center_dists[0]) if tree else diameter(g))
     # MeshGraph refuses any edge that is not a mesh edge, built or parsed.
     checks = (ConditionCheck("mesh-edges", True),
               *_CONDITIONS[cg.family](cg, center_dists, connected, diam))
     asked = diam.cache_info().currsize  # a condition has measured it already
-    scan = asked or n <= DIAMETER_SCAN_LIMIT or (connected and edge_count(g) == n - 1)
+    scan = asked or n <= DIAMETER_SCAN_LIMIT or tree
     return ConditionReport(
         family=cg.family, k=g.k, p=cg.p, vertex_count=n, max_degree=max_degree(g),
         center_eccentricities=eccs, diameter=diam() if scan else None, checks=checks)

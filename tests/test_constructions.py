@@ -1,5 +1,6 @@
 """Builder output sizes, shapes, and preconditions."""
 
+import gc
 import hashlib
 import inspect
 import itertools
@@ -18,10 +19,12 @@ from meshddbs import (
     build_family,
     build_odd_core,
     build_odd_extended,
+    check_conditions,
     diameter,
     eccentricity,
     family_size,
     find_free_pair,
+    graph_from_json,
     graph_to_json,
     max_degree,
 )
@@ -275,20 +278,43 @@ def test_other_builders_byte_exact(family):
     assert h.hexdigest() == OTHER_DIGESTS[family]
 
 
+def _pinned_cells(family):
+    """(k, p, parity) of every build the byte pins above cover for ``family``."""
+    for k, ps in STACKED_GRID if family in STACKED_DIGESTS else OTHER_GRID[family]:
+        for p in ps:
+            for parity in (EVEN, ODD) if family == "cycle" else (None,):
+                yield k, p, parity
+
+
 @pytest.mark.parametrize("family", FAMILY_CODES)
 def test_raw_generators_give_index_pairs(family):
     # Each raw generator returns a vertex list and flat int positions into
     # it, two per edge; the point pairs they denote make the built graph.
-    for k, ps in STACKED_GRID if family in STACKED_DIGESTS else OTHER_GRID[family]:
-        for p in ps:
-            for parity in (EVEN, ODD) if family == "cycle" else (None,):
-                built = build_family(family, k, p, parity)
-                verts, flat = _FAMILIES[family].raw(k, built.p, built.graph.parity)
-                assert type(verts) is list and type(flat) is list and len(flat) % 2 == 0
-                assert all(type(i) is int and 0 <= i < len(verts) for i in flat)
-                ends = [verts[i] for i in flat]
-                pairs = list(zip(ends[0::2], ends[1::2]))
-                assert MeshGraph(built.graph.parity, k, verts, pairs) == built.graph
+    for k, p, parity in _pinned_cells(family):
+        built = build_family(family, k, p, parity)
+        verts, flat = _FAMILIES[family].raw(k, built.p, built.graph.parity)
+        assert type(verts) is list and type(flat) is list and len(flat) % 2 == 0
+        assert all(type(i) is int and 0 <= i < len(verts) for i in flat)
+        ends = [verts[i] for i in flat]
+        pairs = list(zip(ends[0::2], ends[1::2]))
+        assert MeshGraph(built.graph.parity, k, verts, pairs) == built.graph
+
+
+def test_pipeline_leaves_no_cyclic_garbage():
+    # Building, writing, reading and checking a graph make no reference
+    # cycles, which is why they may run with the collector paused: with it
+    # off throughout, a full collection afterwards finds nothing to free.
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for family in FAMILY_CODES:
+            for k, p, parity in _pinned_cells(family):
+                check_conditions(graph_from_json(graph_to_json(build_family(family, k, p, parity))))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 PUBLIC_BUILDERS = {

@@ -1,6 +1,7 @@
 """Graph container, metric, and serialization behavior."""
 
 import copy
+import gc
 import json
 import math
 import pickle
@@ -367,6 +368,45 @@ def test_json_round_trip_is_byte_identical():
     assert text == again
 
 
+#: Calls that pause the collector, each with the ValueError it raises, or None.
+PAUSED_CALLS = {
+    "meshgraph": (lambda: MeshGraph(EVEN, 2, [(0, 0), (2, 0)], [((0, 0), (2, 0))]), None),
+    "meshgraph-bad-vertex": (lambda: MeshGraph(EVEN, 2, [(0, 1)], []), "odd entry"),
+    "json": (lambda: graph_from_json(graph_to_json(build_family("e", 2, 3))), None),
+    "json-bad": (lambda: graph_from_json('{"parity":'), "invalid JSON"),
+    "build_family": (lambda: build_family("o", 2, 3), None),
+    "build_family-bad": (lambda: build_family("path", 2, 3), "unknown family code"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("name", list(PAUSED_CALLS))
+def test_pause_gives_the_collector_back_as_it_found_it(name, enabled):
+    call, message = PAUSED_CALLS[name]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if message is None:
+            call()
+        else:
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_meshgraph_reads_its_input_with_the_collector_paused():
+    seen = []
+
+    def points():
+        seen.append(gc.isenabled())
+        yield (0, 0)
+
+    MeshGraph(EVEN, 2, points(), [])
+    assert seen == [False] and gc.isenabled()
+
+
 def test_json_rejects_tampered_family():
     cg = build_family("e", 2, p=3)
     text = graph_to_json(cg).replace('"family":"e"', '"family":"zzz"')
@@ -471,6 +511,9 @@ MALFORMED = {
     "validate_point-k-float": lambda: validate_point((0, 0), 2.0, EVEN),
     "validate_point-empty": lambda: validate_point((), 0, EVEN),
     "l1_distance-empty": lambda: l1_distance((), ()),
+    "l1_distance-float": lambda: l1_distance((0.5,), (1,)),
+    "l1_distance-str": lambda: l1_distance((0,), ("a",)),
+    "l1_distance-bool": lambda: l1_distance((True,), (1,)),
     "count_points-k-negative": lambda: count_points(EVEN, -1, 3),
     "count_points-k-float": lambda: count_points(EVEN, 2.5, 3),
     "count_points-k-bool": lambda: count_points(EVEN, True, 3),
@@ -529,6 +572,9 @@ MALFORMED_MESSAGES = {
     "graph-edges-not-mesh": "is not a mesh edge",
     "graph-odd-build-tagged-e": "expects centers",
     "graph-even-build-tagged-o": "expects centers",
+    "l1_distance-float": "non-integer entry 0.5",
+    "l1_distance-str": "non-integer entry 'a'",
+    "l1_distance-bool": "non-integer entry True",
 }
 
 

@@ -14,6 +14,7 @@ from meshddbs import (
     compare_bounds,
     count_points,
     diameter,
+    edge_count,
     family_size,
     max_degree,
     report_lines,
@@ -306,12 +307,25 @@ def test_diameter_measured_above_the_limit_when_a_condition_needs_it(parity, p, 
 
 
 def test_diameter_measured_at_most_once_per_report(monkeypatch):
+    # A tree takes its second sweep from the first center's BFS; other graphs call diameter.
     calls = []
-    monkeypatch.setattr(verification, "diameter", lambda g: calls.append(g) or diameter(g))
+    two_sweep = verification._two_sweep
+    monkeypatch.setattr(verification, "diameter",
+                        lambda g: calls.append("diameter") or diameter(g))
+    monkeypatch.setattr(verification, "_two_sweep",
+                        lambda g, dist: calls.append("two-sweep") or two_sweep(g, dist))
+    trees = set()
     for family in FAMILY_CODES:
         calls.clear()
-        rep = check_conditions(build_family(family, 2, None if family == "edge" else 4))
-        assert len(calls) == 1 and rep.diameter == diameter(calls[0]), family
+        cg = build_family(family, 2, None if family == "edge" else 4)
+        rep = check_conditions(cg)
+        g = cg.graph
+        tree = edge_count(g) == len(g.vertices) - 1
+        assert calls == ["two-sweep" if tree else "diameter"], family
+        assert rep.diameter == diameter(g), family
+        if tree:
+            trees.add(family)
+    assert {"e", "eprime", "edge"} <= trees
 
 
 def test_condition_table_names_every_family():

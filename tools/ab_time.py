@@ -9,6 +9,16 @@ refused by the other).  The two sides take turns, and the order flips
 on every repetition, so slow drift of the machine falls on both.  Every
 pass is checked by the side's own oracle, outside the clock.
 
+Both sides share one interpreter, hence one cyclic garbage collector:
+its generation counts run on across the sides' passes, and its older
+generations hold the inputs and modules of both.  A change to how much
+the program allocates, or to when the collector runs, therefore reads
+differently here than in separate processes: pausing the collector
+while graphs are built, written and read gave 0.81 (seed 1) and 0.75
+(seed 201) here, but 0.84 in ten alternating pairs of separate
+processes (verify_sweep).  Size such a change with alternating pairs of
+separate ``perfbench/run.py`` processes.
+
 For each side the script prints the sum over items of the per-item
 median time, then the ratio CHANGE/BASE; below 1 means CHANGE is
 faster.  Beside it stand the quartiles of the per-repetition ratios
