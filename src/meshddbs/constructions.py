@@ -40,24 +40,28 @@ one-dimensional path along axis 1 with the same family tag.
 ``family_size`` gives a family's vertex count without building it.  It
 follows the same recursions on counts alone: a stacked family is its
 centers plus both copies of every level, the enlarged ones add their
-innermost copies and a pendant count with its own recurrence, g3 is
-2 ceil(p/4) - 1 copies of its inner build, the cycle has 4p or 4p+2
-vertices and the edge 2.  One table, ``_FAMILIES``, gives each family
-code its lattice, argument check, raw generator and size function, so
-``build_family`` and ``family_size`` refuse the same arguments with the
-same message.  A built member is a ``CenteredGraph``, with the centers
-its lattice fixes; ``graph_to_json``, ``graph_from_json`` and
-``graph_to_dot`` write, read and draw it.
+innermost copies and 2^(k-1) C(p-2-odd, k-1) central-plane pendants,
+a closed form; g3 is 2 ceil(p/4) - 1 copies of its inner build, the
+cycle has 4p or 4p+2 vertices and the edge 2.  One table,
+``_FAMILIES``, gives each family code its lattice, argument check, raw
+generator and size function, so ``build_family`` and ``family_size``
+refuse the same arguments with the same message.  A built member is a
+``CenteredGraph``, with the centers its lattice fixes;
+``graph_to_json``, ``graph_from_json`` and ``graph_to_dot`` write,
+read and draw it.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import comb
 from operator import add
 from typing import NamedTuple
 
+from .formulas import DEFAULT_ENUMERATION_CAP
 from .lattice_core import (
     LatticeParity,
     MeshGraph,
@@ -254,50 +258,25 @@ def _stack(odd: bool, enlarged: bool, k: int, p: int, memo: dict):
     return memo[key]
 
 
-def _pendant_count(odd: bool, k: int, q: int, memo: dict) -> int:
-    """Number of central-plane pendants hung from the core build (k, q).
-
-    Counts what ``_central_plane_pendants`` admits from the copy
-    ``_stack(odd, False, k, q)`` of an enlarged family at p = q + 1.  A
-    vertex at level +-i of that copy passes exactly when its part in the
-    (k-1)-dimensional copy of radius q-i passes the same test at q-i:
-    the coordinate budget 2(q-1) less 2i is 2(q-i-1).  The centers never
-    pass, so P(k, q) = 2 * sum(P(k-1, q-i) for 1 <= i <= q-2), and on
-    the axis path (k == 1) the nonzero even points, or the odd points
-    off +-1, within 2(q-1) remain.
-    """
-    key = ("pendants", k, q)
-    if key not in memo:
-        if k == 1:
-            memo[key] = max(0, 2 * q - 4) if odd else max(0, 2 * q - 2)
-        else:
-            memo[key] = 2 * sum(_pendant_count(odd, k - 1, q - i, memo) for i in range(1, q - 1))
-    return memo[key]
-
-
-def _stack_size(odd: bool, enlarged: bool, k: int, p: int, memo: dict) -> int:
+@functools.cache
+def _stack_size(odd: bool, enlarged: bool, k: int, p: int) -> int:
     """Vertex count of ``_stack(odd, enlarged, k, p)``, by the same recursion.
 
     The 1 or 2 centers plus both copies of every stacked level; the
     enlarged families add the two radius p-1 copies of the innermost
-    levels and the central-plane pendants.  The levels and the central
-    plane are disjoint, so the counts add.  ``memo`` plays the part of
-    ``_stack``'s and lives for one public call.
+    levels and 2^(k-1) C(p-2-odd, k-1) central-plane pendants: the
+    absolute values of a pendant's k-1 coordinates (the odd first one
+    less 1/2) are positive integers summing to at most p-2-odd, each
+    with two signs.  The parts are disjoint, so the counts add.  The
+    process-wide cache holds only ints.
     """
-    key = (enlarged, k, p)
-    if key in memo:
-        return memo[key]
     if k == 1 or p < 3:
-        memo[key] = 2 * p + 1 + odd
-        return memo[key]
+        return 2 * p + 1 + odd
     size = 1 + odd + 2 * sum(
-        _stack_size(odd, enlarged, k - 1, p - i, memo)
-        for i in range(2 if enlarged else 1, p - 1))
+        _stack_size(odd, enlarged, k - 1, p - i) for i in range(2 if enlarged else 1, p - 1))
     if enlarged:
-        size += (_stack_size(odd, True, k - 1, p - 1, memo)
-                 + _stack_size(odd, False, k - 1, p - 1, memo)
-                 + _pendant_count(odd, k - 1, p - 1, memo))
-    memo[key] = size
+        size += (_stack_size(odd, True, k - 1, p - 1) + _stack_size(odd, False, k - 1, p - 1)
+                 + 2 ** (k - 1) * comb(p - 2 - odd, k - 1))
     return size
 
 
@@ -486,7 +465,7 @@ def _stacked(lattice: LatticeParity, enlarged: bool) -> _Family:
     """The ``_FAMILIES`` row of a stacked family; the parity picks ``_stack``'s lattice."""
     return _Family(lattice, BuildParams,
                    lambda k, p, parity: _stack(parity is ODD, enlarged, k, p, {}),
-                   lambda k, p, parity: _stack_size(parity is ODD, enlarged, k, p, {}))
+                   lambda k, p, parity: _stack_size(parity is ODD, enlarged, k, p))
 
 
 _FAMILIES = {
@@ -532,9 +511,14 @@ def build_family(family: str, k: int, p=None, parity=None) -> CenteredGraph:
     p = 0 or leave it unset.
 
     Raises:
-        ValueError: unknown family code or arguments the family rejects.
+        ValueError: unknown family code, arguments the family rejects, or a
+            ``family_size`` above ``formulas.DEFAULT_ENUMERATION_CAP``.
     """
     row, p, parity = _family_args(family, k, p, parity)
+    size = row.size(k, p, parity)
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"family {family!r} at k = {k}, p = {p} has {size} vertices, "
+                         f"beyond the build cap of {DEFAULT_ENUMERATION_CAP}")
     verts, flat = row.raw(k, p, parity)
     graph = MeshGraph(parity, k, verts, _IndexPairs(flat))
     return CenteredGraph(graph, _centers(parity is ODD, k), p, family)
@@ -547,7 +531,9 @@ def family_size(family: str, k: int, p=None, parity=None) -> int:
     same ValueError text as ``build_family``.  The stacked families and
     g3 follow their builders' recursions on sizes alone, so large k and
     p stay cheap (e at k = 8, p = 200 takes milliseconds); tests tie
-    every family's count to its built graph.
+    every family's count to its built graph.  An enlarged family's
+    pendants number 2^(k-1) C(p-2-odd, k-1), and stacked sizes stay in
+    one process-wide ``functools.cache`` of ints, never vertex lists.
 
     Raises:
         ValueError: unknown family code or arguments the family rejects.

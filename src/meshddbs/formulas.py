@@ -85,21 +85,27 @@ def ball_enumerate(spec: BallSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
     pts = []
     cur = [0] * k
 
-    def walk(axis: int, budget: int) -> None:
-        # Doubled entries on this axis with the budget they leave: 2t at
+    def steps(axis: int, budget: int) -> list:
+        # (axis, doubled entry, budget left) per entry on this axis: 2t at
         # cost |t|, except the odd lattice's first axis, +-(2b+1) at cost b.
         if odd and axis == 0:
-            steps = [(s * (2 * b + 1), budget - b) for b in range(budget + 1) for s in (-1, 1)]
-        else:
-            steps = [(2 * t, budget - abs(t)) for t in range(-budget, budget + 1)]
-        for c, rest in steps:
-            cur[axis] = c
-            if axis == k - 1:
-                pts.append(tuple(cur))
-            else:
-                walk(axis + 1, rest)
+            return [(0, s * (2 * b + 1), budget - b) for b in range(budget + 1) for s in (-1, 1)]
+        return [(axis, 2 * t, budget - abs(t)) for t in range(-budget, budget + 1)]
 
-    walk(0, p)
+    # Depth first by an explicit stack, so k is not bound by the recursion
+    # limit: an entry's subtree runs before its next sibling is popped.
+    stack = steps(0, p)
+    while stack:
+        axis, c, rest = stack.pop()
+        cur[axis] = c
+        if axis == k - 1:
+            pts.append(tuple(cur))
+        elif axis < k - 2:
+            stack += steps(axis + 1, rest)
+        else:  # the last axis in place, no stack entry per point
+            for t in range(-rest, rest + 1):
+                cur[-1] = 2 * t
+                pts.append(tuple(cur))
     return set(pts)
 
 

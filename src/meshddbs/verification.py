@@ -373,10 +373,15 @@ def sweep_table(parity: LatticeParity, k_values, delta: int, p_values) -> list:
     return [compare_bounds(parity, k, delta, p) for k in ks for p in ps]
 
 
-def _fmt_exact(value) -> str:
+def _fmt_exact(r: ComparisonRow, column: str) -> str:
+    value = getattr(r, column)
     if value is None:
         return ""
-    return repr(float(value))
+    try:
+        return repr(float(value))
+    except OverflowError:
+        raise ValueError(f"{column} of row parity={r.parity.value} k={r.k} delta={r.delta} "
+                         f"p={r.p} is beyond float range") from None
 
 
 def _row_cells(r: ComparisonRow) -> list:
@@ -384,7 +389,7 @@ def _row_cells(r: ComparisonRow) -> list:
         r.parity.value, str(r.k), str(r.delta), str(r.p),
         str(r.construction),
         str(r.ball_lower), str(r.ball_upper),
-        _fmt_exact(r.two_term_value), _fmt_exact(r.residual_norm),
+        _fmt_exact(r, "two_term_value"), _fmt_exact(r, "residual_norm"),
         r.status,
     ]
 

@@ -167,6 +167,14 @@ CLI_ERRORS = {
                    "--max-seconds", "inf"],
         "max_seconds",
     ),
+    "table-two-term-beyond-float": (
+        lambda d: ["table", "--parity", "even", "--k", "200", "--p", "2000", "--delta", "1"],
+        "two_term_value of row parity=even k=200 delta=1 p=2000 is beyond float range",
+    ),
+    "build-beyond-cap": (
+        lambda d: ["build", "--family", "e", "--k", "8", "--p", "200"],
+        "has 14363328905089393 vertices, beyond the build cap of 10000000",
+    ),
 }
 
 

@@ -28,7 +28,7 @@ from meshddbs import (
     graph_to_json,
     max_degree,
 )
-from meshddbs import lattice_core
+from meshddbs import constructions, lattice_core
 from meshddbs.constructions import _FAMILIES, FAMILY_CODES, BuildParams
 
 EVEN = LatticeParity.EVEN
@@ -345,7 +345,8 @@ def test_public_builders_give_build_familys_graph(family):
 
 
 SIZE_GRID = {
-    "e": ((1, range(21)), (2, range(31)), (3, range(16)), (4, range(11))),
+    "e": ((1, range(21)), (2, range(31)), (3, range(16)), (4, range(11)), (5, range(10)),
+          (6, range(9))),
     "g3": ((1, range(1, 21)), (2, range(4, 71)), (3, range(16, 61))),
     "cycle": ((2, range(1, 21)), (3, range(1, 11)), (4, range(1, 6))),
     "edge": ((1, (None,)), (2, (None, 0)), (4, (None,))),
@@ -375,6 +376,17 @@ def test_family_size_refuses_like_the_builder(args):
     with pytest.raises(ValueError) as sized:
         family_size(*args)
     assert str(sized.value) == str(built.value)
+
+
+def test_build_family_refuses_beyond_the_enumeration_cap(monkeypatch):
+    assert family_size("e", 8, 200) == 14_363_328_905_089_393
+    with pytest.raises(ValueError, match="has 14363328905089393 vertices, beyond the build cap"):
+        build_family("e", 8, 200)
+    # the cap is inclusive: a member of exactly that many vertices builds
+    monkeypatch.setattr(constructions, "DEFAULT_ENUMERATION_CAP", family_size("oprime", 3, 5))
+    assert n(build_family("oprime", 3, 5)) == 108
+    with pytest.raises(ValueError, match="family 'oprime' at k = 3, p = 6 has"):
+        build_family("oprime", 3, 6)
 
 
 def test_family_size_two_dim_closed_forms():

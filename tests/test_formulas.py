@@ -71,6 +71,13 @@ def test_enumeration_cap():
         ball_enumerate(BallSpec(EVEN, 5, 40), cap=1000)
 
 
+def test_enumeration_reaches_past_the_recursion_limit():
+    # a walk that recursed once per axis hit the recursion limit here
+    pts = ball_enumerate(BallSpec(EVEN, 1000, 1))
+    assert len(pts) == count_points(EVEN, 1000, 1) == 2001
+    assert all(len(pt) == 1000 and sum(map(abs, pt)) <= 2 for pt in pts)
+
+
 def test_ball_count_takes_spec():
     assert ball_count(BallSpec(EVEN, 3, 4)) == count_points(EVEN, 3, 4)
 
