@@ -98,8 +98,8 @@ def ball_enumerate(spec: BallSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
     while stack:
         axis, c, rest = stack.pop()
         cur[axis] = c
-        if axis == k - 1:
-            pts.append(tuple(cur))
+        if axis == k - 1 or rest == 0:  # a spent budget leaves only zeros
+            pts.append(tuple(cur[:axis + 1]) + (0,) * (k - 1 - axis))
         elif axis < k - 2:
             stack += steps(axis + 1, rest)
         else:  # the last axis in place, no stack entry per point

@@ -12,7 +12,10 @@ distance is 1, which in doubled coordinates reads as distance 2.  Graphs
 here carry explicit edge sets: a graph may use fewer edges than the mesh
 induces on its vertex set, but never an edge the mesh does not provide.
 ``MeshGraph`` reads index pairs by one bulk test, point pairs by one
-walk, and fills both into rows one way.  No family is named here:
+walk, and fills both into rows one way.  It keeps its vertices sorted
+and finds a point by bisecting them, so it holds no point dictionary;
+input that is canonical already, as a graph file is, skips the sort
+and fills its rows by appends.  No family is named here:
 ``constructions`` holds them and their graph files.
 
 Building a graph allocates tens of thousands of lists, tuples, sets and
@@ -30,11 +33,12 @@ from __future__ import annotations
 import gc
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from enum import Enum
 from functools import reduce, wraps
-from itertools import chain, repeat
-from operator import add, and_, mul, or_, sub
+from itertools import chain, islice, repeat
+from operator import add, and_, lt, mul, or_, sub
 
 # Doubled coordinates: a point is a tuple of ints, true value times two.
 Point = tuple
@@ -222,13 +226,14 @@ def _keys(pts: list, k: int, parity: LatticeParity):
     return key, steps
 
 
-def _edge_ends(edges, index: dict, key: list, steps: frozenset) -> list:
-    """Flat ``index`` positions of point-pair ``edges``, two per edge, by a walk in input order.
+def _edge_ends(edges, vts: tuple, key, steps: frozenset) -> list:
+    """Flat positions in ``vts`` of point-pair ``edges``, two per edge, by a walk in input order.
 
     The one reader of point pairs; it names the first bad edge in a ValueError.
     An edge is a mesh edge when its endpoints' keys (see ``_keys``) differ by one of ``steps``.
+    The point index it looks endpoints up in is built here, for this walk alone.
     """
-    get = index.get
+    get = dict(zip(vts, range(len(vts)))).get
     ends = []
     for e in edges:
         try:
@@ -253,14 +258,28 @@ class _IndexPairs(list):
     """Edges as in-range positions into ``MeshGraph``'s vertex list, two per edge, tested in bulk."""
 
 
+def _increasing(seq) -> bool:
+    """True when every item of the sequence ``seq`` is below the next."""
+    return all(map(lt, seq, islice(seq, 1, None)))
+
+
 def _rows(ends: list, n: int) -> tuple:
-    """Sorted neighbour rows of ``n`` vertices from the flat positions ``ends``, two per edge."""
+    """Sorted neighbour rows of ``n`` vertices from the flat positions ``ends``, two per edge.
+
+    Pairs (i, j) with i < j, in strictly increasing order, as ``mesh_to_obj``
+    writes them, fill the rows by appends: every row takes its lower
+    neighbours in order, then its upper ones.  Pairs in any other order
+    go through one set per row and a sort.
+    """
     a, b = ends[0::2], ends[1::2]
-    rows = [set() for _ in range(n)]
+    ordered = all(map(lt, a, b)) and _increasing(list(map(add, map(mul, a, repeat(n)), b)))
+    kind = list if ordered else set
+    put = kind.append if ordered else kind.add
+    rows = [kind() for _ in range(n)]
     row = rows.__getitem__
-    deque(map(set.add, map(row, a), b), maxlen=0)
-    deque(map(set.add, map(row, b), a), maxlen=0)
-    return tuple(map(tuple, map(sorted, rows)))
+    deque(map(put, map(row, b), a), maxlen=0)
+    deque(map(put, map(row, a), b), maxlen=0)
+    return tuple(map(tuple, rows if ordered else map(sorted, rows)))
 
 
 class MeshGraph:
@@ -271,18 +290,22 @@ class MeshGraph:
     endpoint pairs in sorted order.  Every edge must join two stored
     vertices at doubled distance exactly 2.
 
-    The graph keeps one vertex index (point to position in ``vertices``),
-    one adjacency over positions and the edge count.  One scan of the
+    The graph keeps the sorted vertices, one adjacency over positions
+    and the edge count; it keeps no point index.  One scan of the
     coordinate columns validates the vertices and gives each an integer
-    key that sorts as the point does (see ``_keys``); the vertices are
-    deduplicated and sorted by key.  Edges become flat positions: index
-    pairs (from the builders and the JSON codec) by one canon map and one
-    bulk test of their keys' differences, point pairs by the walk
-    ``_edge_ends``, which also names the first bad edge of either form.
-    One fill, ``_rows``, turns the positions into sorted rows, so
-    ``neighbors`` returns sorted points.  No edge tuple is stored:
-    ``edges`` builds the sorted pairs on each access, and ``edge_count``
-    reads the count.  Only this module reads the index and adjacency.
+    key that sorts as the point does (see ``_keys``).  Vertices whose
+    keys already increase strictly, as in a graph file, are taken as
+    they stand; others are deduplicated and sorted by key.  Edges become
+    flat positions: index pairs (from the builders and the JSON codec)
+    by one canon map, which sorted vertices skip, and one bulk test of
+    their keys' differences; point pairs by the walk ``_edge_ends``,
+    which also names the first bad edge of either form.  One fill,
+    ``_rows``, turns the positions into sorted rows, by appends when the
+    pairs come as ``mesh_to_obj`` writes them, so ``neighbors`` returns
+    sorted points.  ``has_vertex`` and ``index`` find a point by bisecting
+    the sorted vertices.  No edge tuple is stored: ``edges`` builds the
+    sorted pairs on each access, and ``edge_count`` reads the count.
+    Only this module reads the adjacency.
 
     Construction runs with the cyclic garbage collector paused (see
     ``_gc_paused``): the point tuples, keys, dicts and rows it makes hold
@@ -290,7 +313,7 @@ class MeshGraph:
     and free nothing, and reference counting frees what it discards.
     """
 
-    __slots__ = ("parity", "k", "vertices", "_edge_count", "_index", "_iadj")
+    __slots__ = ("parity", "k", "vertices", "_edge_count", "_iadj")
 
     @_gc_paused
     def __init__(self, parity: LatticeParity, k: int, vertices, edges):
@@ -307,26 +330,29 @@ class MeshGraph:
             for v in vertices:
                 validate_point(v, k, parity)
         key, steps = keyed
-        at = dict(zip(key, pts))
-        skey = sorted(at)
-        vts = tuple(map(at.__getitem__, skey))
-        index = dict(zip(vts, range(len(vts))))
+        if _increasing(key):  # sorted and unique already
+            skey, vts = key, tuple(pts)
+        else:
+            at = dict(zip(key, pts))
+            skey = sorted(at)
+            vts = tuple(map(at.__getitem__, skey))
         if type(edges) is _IndexPairs:
-            # One list maps each input position to its canonical one.
-            canon = list(map(dict(zip(skey, range(len(skey)))).__getitem__, key))
+            # One list maps each input position to its canonical one, so
+            # the rows share one int object per vertex.
+            canon = (list(range(len(key))) if skey is key
+                     else list(map(dict(zip(skey, range(len(skey)))).__getitem__, key)))
             ends = list(map(canon.__getitem__, edges))
             key_at = skey.__getitem__
             if not set(map(sub, map(key_at, ends[1::2]), map(key_at, ends[0::2]))) <= steps:
                 # Some pair is no mesh edge; the walk names the first in input order.
-                _edge_ends(zip(*[map(pts.__getitem__, edges)] * 2), index, skey, steps)
+                _edge_ends(zip(*[map(pts.__getitem__, edges)] * 2), vts, skey, steps)
         else:
-            ends = _edge_ends(_field_list(edges, "edges"), index, skey, steps)
+            ends = _edge_ends(_field_list(edges, "edges"), vts, skey, steps)
         iadj = _rows(ends, len(vts))
         self.parity = parity
         self.k = k
         self.vertices = vts
         self._edge_count = sum(map(len, iadj)) // 2
-        self._index = index
         self._iadj = iadj
 
     def __setattr__(self, name, value):
@@ -363,13 +389,31 @@ class MeshGraph:
             f"vertices={len(self.vertices)}, edges={self._edge_count})"
         )
 
+    def _position(self, v) -> int:
+        """Position of the point ``v`` in ``vertices``, or -1 when it is no vertex.
+
+        The vertices ascend, so a bisection finds ``v``, and equality
+        confirms it.  Python orders ints against floats, bools and
+        fractions exactly, so the answer is that of a dict of the
+        vertices.  An entry no int is ordered against (a string, a
+        complex number) makes the bisection raise TypeError, and a scan
+        by equality answers instead.
+        """
+        v = tuple(v)
+        verts = self.vertices
+        try:
+            i = bisect_left(verts, v)
+        except TypeError:
+            return verts.index(v) if v in verts else -1
+        return i if i < len(verts) and verts[i] == v else -1
+
     def has_vertex(self, v: Point) -> bool:
-        return tuple(v) in self._index
+        return self._position(v) >= 0
 
     def index(self, v: Point) -> int:
         """Position of ``v`` in ``vertices``; ValueError if absent, as ``tuple.index``."""
-        i = self._index.get(tuple(v))
-        if i is None:
+        i = self._position(v)
+        if i < 0:
             raise ValueError(f"{tuple(v)!r} is not a vertex of this graph")
         return i
 
@@ -588,7 +632,8 @@ def mesh_from_obj(obj: dict):
 
 def _json_dumps(obj) -> str:
     """Canonical single-line JSON text: no spaces, keys in the order given."""
-    return json.dumps(obj, separators=(",", ":"))
+    # Every object written is built fresh and holds no cycle.
+    return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
 def _no_constant(token: str):

@@ -73,9 +73,11 @@ def test_enumeration_cap():
 
 def test_enumeration_reaches_past_the_recursion_limit():
     # a walk that recursed once per axis hit the recursion limit here
-    pts = ball_enumerate(BallSpec(EVEN, 1000, 1))
-    assert len(pts) == count_points(EVEN, 1000, 1) == 2001
-    assert all(len(pt) == 1000 and sum(map(abs, pt)) <= 2 for pt in pts)
+    for parity, size in ((EVEN, 2001), (ODD, 4000)):
+        pts = ball_enumerate(BallSpec(parity, 1000, 1))
+        assert len(pts) == count_points(parity, 1000, 1) == size
+        limit = 2 + (parity is ODD)
+        assert all(len(pt) == 1000 and sum(map(abs, pt)) <= limit for pt in pts)
 
 
 def test_ball_count_takes_spec():

@@ -210,6 +210,54 @@ def test_neighbors_come_in_sorted_order():
         assert all(v in g.neighbors(w) for w in ns)
 
 
+def _lookup_queries(g):
+    """Points to look up in ``g``: its vertices and points near, far from or unlike them."""
+    verts = g.vertices
+    k = g.k
+    spread = max(max(col) - min(col) for col in zip(*verts))
+    radix = 2 * spread + 5  # the key radix of lattice_core._keys
+    queries = list(verts)
+    for v in verts[:: max(1, len(verts) // 40)]:
+        for m in range(k):
+            for step in (2, -2, 1):
+                queries.append(v[:m] + (v[m] + step,) + v[m + 1:])
+            if m + 1 < k:
+                # the same key as v: +2 on one axis, -2 radix on the next
+                queries.append(v[:m] + (v[m] + 2, v[m + 1] - 2 * radix) + v[m + 2:])
+        queries += [
+            tuple(c + 10**30 for c in v),
+            tuple(map(float, v)),
+            (v[0] + 0.5,) + v[1:],
+            (complex(v[0]),) + v[1:],
+            (float("nan"),) + v[1:],
+            (str(v[0]),) + v[1:],
+            tuple(map(str, v)),
+            v[:-1],
+            v + (0,),
+            (),
+        ]
+    queries += [(True,) + (0,) * (k - 1), (False,) + (0,) * (k - 1)]
+    return queries
+
+
+@pytest.mark.parametrize("family, k, p, parity", [
+    ("cycle", 2, 3, ODD), ("e", 1, 4, EVEN), ("eprime", 2, 5, EVEN),
+    ("o", 3, 4, ODD), ("oprime", 2, 6, ODD), ("g3", 2, 4, EVEN),
+])
+def test_lookups_agree_with_a_dict_of_the_vertices(family, k, p, parity):
+    g = build_family(family, k, p, parity).graph
+    ref = {v: i for i, v in enumerate(g.vertices)}
+    for q in _lookup_queries(g):
+        assert g.has_vertex(q) is (q in ref), q
+        assert g.has_vertex(list(q)) is (q in ref), q
+        if q in ref:
+            assert g.index(q) == ref[q]
+            assert g.degree(q) == len(g.neighbors(q))
+        else:
+            with pytest.raises(ValueError, match="is not a vertex of this graph"):
+                g.index(q)
+
+
 def _same_graph(a, b, cg):
     """Assert graphs ``a`` and ``b`` agree in every public view and in JSON bytes."""
     assert a == b
@@ -366,6 +414,71 @@ def test_json_round_trip_is_byte_identical():
     text = graph_to_json(cg)
     again = graph_to_json(graph_from_json(text))
     assert text == again
+
+
+def _renumbered(obj, order):
+    """Graph file object ``obj`` with vertex position ``order[i]`` moved to position i."""
+    at = {old: new for new, old in enumerate(order)}
+    return dict(obj, vertices=[obj["vertices"][i] for i in order],
+                edges=[[at[i], at[j]] for i, j in obj["edges"]],
+                centers=[at[i] for i in obj["centers"]])
+
+
+def _repeat_vertex(obj, i, at):
+    """``obj`` with vertex i repeated at position ``at`` and every other pair meeting i moved to the copy."""
+    shift = [j + (j >= at) for j in range(len(obj["vertices"]))]
+    edges = [[shift[a], shift[b]] for a, b in obj["edges"]]
+    meets = [e for e in edges if shift[i] in e][::2]
+    for e in meets:
+        e[e.index(shift[i])] = at
+    verts = list(obj["vertices"])
+    verts.insert(at, verts[i])
+    return dict(obj, vertices=verts, edges=edges, centers=[shift[c] for c in obj["centers"]])
+
+
+#: Edits of a graph file that leave its graph unchanged: reordered or repeated entries.
+GRAPH_FILE_EDITS = {
+    "vertices-shuffled": lambda obj, rng: _renumbered(
+        obj, rng.sample(range(len(obj["vertices"])), len(obj["vertices"]))),
+    "vertices-reversed": lambda obj, rng: _renumbered(obj, range(len(obj["vertices"]))[::-1]),
+    "pairs-shuffled": lambda obj, rng: dict(
+        obj, edges=rng.sample(obj["edges"], len(obj["edges"]))),
+    "pair-reversed": lambda obj, rng: dict(
+        obj, edges=obj["edges"][:5] + [obj["edges"][5][::-1]] + obj["edges"][6:]),
+    "pairs-reversed": lambda obj, rng: dict(obj, edges=[e[::-1] for e in obj["edges"]]),
+    "pair-repeated": lambda obj, rng: dict(
+        obj, edges=obj["edges"][:4] + [obj["edges"][3]] + obj["edges"][4:]),
+    "pair-repeated-reversed": lambda obj, rng: dict(
+        obj, edges=obj["edges"] + [obj["edges"][2][::-1]]),
+    "vertex-repeated-next-to-itself": lambda obj, rng: _repeat_vertex(obj, 6, 7),
+    "vertex-repeated-at-the-end": lambda obj, rng: _repeat_vertex(
+        obj, 6, len(obj["vertices"])),
+}
+
+
+@pytest.mark.parametrize("edit", list(GRAPH_FILE_EDITS))
+@pytest.mark.parametrize("family, k, p", [("eprime", 2, 5), ("o", 3, 4)])
+def test_reordered_or_repeated_graph_file_reads_to_the_same_graph(edit, family, k, p):
+    cg = build_family(family, k, p)
+    text = graph_to_json(cg)
+    obj = GRAPH_FILE_EDITS[edit](json.loads(text), random.Random(11))
+    assert obj != json.loads(text)
+    again = graph_from_json(json.dumps(obj))
+    assert again == cg
+    assert graph_to_json(again) == text
+
+
+@pytest.mark.parametrize("pair, message", [
+    ([3, 3], "is not a mesh edge (doubled distance 0)"),
+    ([0, 40], "is not a mesh edge (doubled distance"),
+    ([0, -1], "edge index pair [0, -1] is out of range"),
+])
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_bad_pair_in_a_sorted_graph_file_is_named(pair, message, at):
+    obj = json.loads(graph_to_json(build_family("eprime", 2, 5)))
+    obj["edges"] = [pair] + obj["edges"] if at == "first" else obj["edges"] + [pair]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        graph_from_json(json.dumps(obj))
 
 
 #: Calls that pause the collector, each with the ValueError it raises, or None.

@@ -99,6 +99,14 @@ def test_degree_witness_names_the_cap():
     assert bound.witness.endswith("(cap 3)")
 
 
+def test_exact_degree_witness_names_a_vertex_below_the_cap():
+    # a cycle with one edge cut is a path: no degree above 2, two of them 1
+    cut = build_family("cycle", 2, p=2).graph.edges[0]
+    rep = check_conditions(_edited("cycle", 2, 2, drop=[cut]))
+    [bound] = [c for c in rep.checks if c.name == "degree-bound"]
+    assert bound.witness == f"degree 1 at {cut[0]!r} (expected 2)"
+
+
 def test_g3_star_fails_only_free_pair():
     # every edge of a 3-star meets its degree-3 hub, so nothing is left to stack on
     arms = [(2, 0), (-2, 0), (0, 2)]
