@@ -27,25 +27,33 @@ canonical frame.
 Incremental distance checks.  Each search node asks whether every
 chosen vertex still reaches every other within the bound, using only
 chosen-or-candidate vertices (the allowed set); the leaf and each
-degree-shedding step ask the same inside the chosen set.  Four facts
+degree-shedding step ask the same inside the chosen set.  Five facts
 let most of these BFS runs be skipped or shortened without changing any
 answer.  Distance is symmetric, so the sources ``chosen[:-1]`` cover
-every pair.  Allowed sets only shrink from a node to its children, and
-a BFS inside a smaller allowed set that still contains the old reach
-finds exactly that reach and those layers again: every shortest path it
-used stays inside the reach.  So a node reuses its parent's reach and
-BFS layers of a source unless a vertex of it just left the allowed set.
-When exactly one vertex x leaves, as on the exclude branch, only the
-vertices on the layer after x's that are adjacent to x can lose their
-BFS parent; if each keeps another neighbour on x's layer, the layers
-stand with x removed, and otherwise the BFS is re-run.  When shedding
-drops an edge, its endpoints lie on adjacent BFS layers of every
-source, because mesh subgraphs are bipartite; if the farther endpoint
-keeps a neighbour on the nearer layer, no distance from that source
-changes and its layers are kept.  Shedding starts from the layers the
-leaf check found inside the chosen set, which is the graph it sheds.
-Node counts, optima and witnesses are therefore those of a full
-recheck at every step.
+every pair.  No distance beyond the farthest chosen vertex decides the
+question, so a search node grows each source's BFS layers only to the
+first depth whose reach holds every chosen vertex, and grows them on
+when a chosen vertex joins.  Allowed sets only shrink from a node to
+its children, and a BFS inside a smaller allowed set that still
+contains the old reach finds exactly that reach and those layers again:
+every shortest path it used stays inside the reach.  So a node reuses
+its parent's layers of a source unless a vertex of them just left the
+allowed set.  Then the layers before the first one that lost a vertex
+stand, and so does that layer less the lost vertices.  When exactly
+one vertex x left, as on the exclude branch, only the vertices on the
+layer after x's that are adjacent to x can lose their BFS parent; if
+each keeps another neighbour on x's layer, all later layers stand too.
+Otherwise the BFS resumes from x's layer.  When shedding drops an edge,
+its endpoints lie on adjacent BFS layers of every source, because mesh
+subgraphs are bipartite; if the farther endpoint keeps a neighbour on
+the nearer layer, no distance from that source changes and its layers
+are kept, and otherwise the BFS resumes from the nearer layer.
+Shedding starts from the layers the leaf check found inside the chosen
+set, which is the graph it sheds: there the allowed set is the chosen
+set, so those layers are complete.  The exclude branch of a node is the
+next turn of a loop in the node's own call, with the same chosen set
+and one candidate fewer.  Node counts, optima and witnesses are
+therefore those of a full recheck at every step.
 
 Degree shedding partitions edge subsets: branch i at the smallest
 over-degree vertex drops its i-th edge not yet kept and keeps the
@@ -108,8 +116,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial
-from operator import mul
+from functools import partial, reduce
+from operator import mul, or_
 
 from . import formulas
 from .lattice_core import (
@@ -221,16 +229,18 @@ def _bipartite_moore(delta: int, d: int) -> int:
     return 2 * sum((delta - 1) ** i for i in range(d))
 
 
-def _reach(adj, src_bit, allowed, hops):
-    """Vertices within ``hops`` of ``src_bit`` inside ``allowed``, and their BFS layers.
+def _grow(adj, allowed, hops, reach, layers, need):
+    """BFS ``layers`` inside ``allowed``, whose union is ``reach``, extended in place.
 
     Returns ``(reach, layers)``: ``layers[i]`` is the bitmask of vertices
-    at distance exactly ``i`` and ``reach`` is their union.
+    at distance exactly ``i`` and ``reach`` is their union.  Growth stops
+    at the first depth whose reach holds ``need``, at depth ``hops``, or
+    at an empty layer, which is not appended.
     """
-    reach = src_bit
-    frontier = src_bit
-    layers = [src_bit]
-    for _ in range(hops):
+    frontier = layers[-1]
+    for _ in range(hops + 1 - len(layers)):
+        if not need & ~reach:
+            break
         nxt = 0
         f = frontier
         while f:
@@ -246,33 +256,44 @@ def _reach(adj, src_bit, allowed, hops):
     return reach, layers
 
 
-def _drop_vertex(adj, carried, x):
-    """``carried = (reach, layers)`` without the vertex bit ``x``, or None.
+def _reach(adj, src_bit, allowed, hops):
+    """Vertices within ``hops`` of ``src_bit`` inside ``allowed``, and their BFS layers.
 
-    None means a distance grows.  If ``x`` sits on layer i, only vertices
-    on layer i+1 can lose their BFS parent, and only those adjacent to
-    ``x``; when each keeps another neighbour on layer i, every other
-    distance stands.  A last layer left empty is dropped, so the result
-    equals a fresh BFS's.
+    ``_grow`` from the source alone; a need of -1 (every bit) is never held.
+    """
+    return _grow(adj, allowed, hops, src_bit, [src_bit], -1)
+
+
+def _shrink(adj, carried, gone):
+    """``carried = (reach, layers)`` once the vertex bits ``gone`` left the allowed set.
+
+    Returns a prefix of the BFS layers inside the smaller set, on a new
+    list, for ``_grow`` to resume.  Layers before the first one that lost
+    a vertex stand, and so does that layer less ``gone``.  When one vertex
+    x left, only vertices on the next layer that are adjacent to x can
+    lose their BFS parent; if each keeps another neighbour on x's layer,
+    every later layer stands too.  Otherwise the prefix ends at x's layer.
     """
     reach, layers = carried
     i = 0
-    while not layers[i] & x:
+    while not layers[i] & gone:
         i += 1
-    rest = layers[i] ^ x
-    if i + 1 < len(layers):
-        m = adj[x.bit_length() - 1] & layers[i + 1]
+    rest = layers[i] & ~gone
+    if rest and not gone & (gone - 1):
+        m = adj[gone.bit_length() - 1] & layers[i + 1] if i + 1 < len(layers) else 0
         while m:
             b = m & -m
             if not adj[b.bit_length() - 1] & rest:
-                return None
+                break
             m ^= b
-    layers = layers.copy()
+        else:
+            layers = layers.copy()
+            layers[i] = rest
+            return reach ^ gone, layers
+    layers = layers[:i]
     if rest:
-        layers[i] = rest
-    else:
-        del layers[i]
-    return reach ^ x, layers
+        layers.append(rest)
+    return reduce(or_, layers), layers
 
 
 def _colours(compat, cand, need):
@@ -333,47 +354,62 @@ class _Search:
                     cand &= ~self.adj[v]
         if need == 0:
             return self._leaf(chosen, smask, reaches)
-        if cand.bit_count() < need:
-            return None
-        if self.colour_bound and _colours(self.compat, cand, need) < need:
-            return None
-        # Every chosen vertex must still reach every other within the
-        # bound using only chosen-or-candidate vertices; subsets only
-        # lose paths, so failure here dooms the whole subtree.
-        reaches = self._reaches(chosen, smask | cand, smask, reaches)
-        if reaches is None:
-            return None
-        b = cand & -cand
-        j = b.bit_length() - 1
-        rest = cand ^ b
-        found = self._rec(chosen + [j], smask | b, rest & self.compat[j], reaches)
-        if found is not None:
-            return found
-        return self._rec(chosen, smask, rest, reaches)
+        compat = self.compat
+        # Each turn is one node: the exclude branch of the turn before,
+        # with the same chosen set and one candidate fewer.
+        while True:
+            if cand.bit_count() < need:
+                return None
+            if self.colour_bound and _colours(compat, cand, need) < need:
+                return None
+            # Every chosen vertex must still reach every other within the
+            # bound using only chosen-or-candidate vertices; subsets only
+            # lose paths, so failure here dooms the whole subtree.
+            reaches = self._reaches(chosen, smask | cand, smask, reaches)
+            if reaches is None:
+                return None
+            b = cand & -cand
+            j = b.bit_length() - 1
+            cand ^= b
+            found = self._rec(chosen + [j], smask | b, cand & compat[j], reaches)
+            if found is not None:
+                return found
+            self.budget.spend()
 
     def _reaches(self, chosen, allowed, smask, carried):
         """``(reach, layers)`` of each of ``chosen[:-1]`` inside ``allowed``.
 
-        Returns None as soon as one reach misses ``smask``.
+        Returns None as soon as one reach misses ``smask``.  Each entry is
+        its source's BFS inside ``allowed`` cut at the first depth whose
+        reach holds ``smask``: no farther distance decides the prune.
 
-        ``carried[i]`` is the ``(reach, layers)`` of ``chosen[i]`` inside an
-        allowed set that contains ``allowed``.  It is kept when its reach
-        lies inside ``allowed``, repaired by ``_drop_vertex`` when one of
-        its vertices left, and recomputed otherwise.  The last chosen
-        vertex needs no BFS of its own: distance is symmetric, so the
-        other sources cover its pairs.
+        ``carried[i]``, if present, is the entry of ``chosen[i]`` for an
+        allowed set that contains ``allowed`` and a chosen set inside
+        ``smask``.  It is kept when its reach lies inside ``allowed`` and
+        holds ``smask``, grown on from a copy when it lies inside but
+        falls short, and repaired by ``_shrink`` when vertices of it left.
+        Parents and siblings share entries, so none is changed in place.
+        The last chosen vertex needs no BFS of its own: distance is
+        symmetric, so the other sources cover its pairs.
         """
+        adj = self.adj
+        hops = self.bound
+        outside = ~allowed
         out = []
         for i in range(len(chosen) - 1):
-            c = carried[i] if i < len(carried) else None
-            if c is not None:
-                gone = c[0] & ~allowed
+            if i < len(carried):
+                c = carried[i]
+                gone = c[0] & outside
                 if gone:
-                    c = None if gone & (gone - 1) else _drop_vertex(self.adj, c, gone)
-            if c is None:
-                c = _reach(self.adj, 1 << chosen[i], allowed, self.bound)
+                    c = _shrink(adj, c, gone)
+                elif smask & ~c[0]:
+                    c = c[0], c[1].copy()
+            else:
+                c = 1 << chosen[i], [1 << chosen[i]]
             if smask & ~c[0]:
-                return None
+                c = _grow(adj, allowed, hops, c[0], c[1], smask)
+                if smask & ~c[0]:
+                    return None
             out.append(c)
         return out
 
@@ -437,8 +473,6 @@ class _Search:
         in ``fixed``, and a vertex keeping more than delta edges cuts the
         node.
         """
-        sources = chosen[:-1]
-
         def attempt(rows, fixed, layers):
             self.budget.spend()
             over = [v for v in chosen if rows[v].bit_count() > self.delta]
@@ -456,7 +490,7 @@ class _Search:
                     u = b.bit_length() - 1
                     rows[v] ^= b
                     rows[u] ^= 1 << v
-                    kept = self._drop_layers(rows, sources, smask, layers, v, u)
+                    kept = self._drop_layers(rows, smask, layers, v, u)
                     if kept is None:
                         # Its lone removal breaks a distance, and so does
                         # its removal from any state below: keep it.
@@ -479,19 +513,20 @@ class _Search:
 
         return attempt(rows, [0] * len(rows), layers)
 
-    def _drop_layers(self, rows, sources, smask, layers, a, b):
+    def _drop_layers(self, rows, smask, layers, a, b):
         """BFS layers of each source once edge (a, b) is gone from ``rows``.
 
         Returns None when a source no longer reaches all of ``smask``.
         The graph is bipartite, so a and b lie on adjacent layers of
         every source.  Only distances through the farther endpoint can
         grow, and they do not if it keeps a neighbour on the nearer
-        layer; only then are that source's layers kept.
+        layer; then that source's layers are kept.  Otherwise the layers
+        up to the nearer endpoint's stand and the BFS resumes there.
         """
         bit_a = 1 << a
         bit_b = 1 << b
         out = []
-        for v, ls in zip(sources, layers):
+        for ls in layers:
             for i, layer in enumerate(ls):
                 if layer & bit_a:
                     far = b
@@ -500,7 +535,8 @@ class _Search:
                     far = a
                     break
             if not rows[far] & ls[i]:
-                reach, ls = _reach(rows, 1 << v, smask, self.bound)
+                ls = ls[:i + 1]
+                reach, ls = _grow(rows, smask, self.bound, reduce(or_, ls), ls, smask)
                 if smask & ~reach:
                     return None
             out.append(ls)
@@ -650,23 +686,33 @@ def verify_witness(res: SolveResult, req: SolveRequest) -> bool:
     witness vertices is kept.  Edge validity is enforced by the witness
     graph itself.
     """
+    return _witness_problem(res, req) is None
+
+
+def _witness_problem(res, req):
+    """The first check of ``verify_witness`` that fails, as a phrase, or None."""
     w = res.witness
-    if w.k != req.k or len(w.vertices) != res.optimum:
-        return False
-    if max_degree(w) > req.delta:
-        return False
+    if w.k != req.k:
+        return f"the witness has k={w.k}, but the request has k={req.k}"
+    if len(w.vertices) != res.optimum:
+        return f"the witness has {len(w.vertices)} vertices, but the optimum is {res.optimum}"
+    top = max_degree(w)
+    if top > req.delta:
+        return f"the witness has maximum degree {top}, above the request's delta {req.delta}"
     if req.mode == "induced":
         mesh_pairs = sum(
             1 for v in w.vertices for axis in range(w.k)
             if w.has_vertex(v[:axis] + (v[axis] + 2,) + v[axis + 1:])
         )
         if mesh_pairs != edge_count(w):
-            return False
+            return "the witness drops a mesh edge between its vertices, but the request is induced"
     if len(w.vertices) > 1:
         d = diameter(w)
-        if d is INFINITE or d > req.diameter:
-            return False
-    return True
+        if d is INFINITE:
+            return "the witness is disconnected"
+        if d > req.diameter:
+            return f"the witness has diameter {d}, above the request's diameter {req.diameter}"
+    return None
 
 
 # ============================================================
@@ -711,6 +757,11 @@ _RESULT_FIELDS = (
 
 
 def result_from_obj(obj: dict) -> SolveResult:
+    """``SolveResult`` from its object form.
+
+    Raises ValueError on a malformed field, and on a witness that
+    ``verify_witness`` rejects for the result's own request.
+    """
     _need_keys(obj, "solve result",
                ("request", "optimum", "optimal", "explored", "elapsed", "notes", "witness"))
     for key, ok, what in _RESULT_FIELDS:
@@ -734,7 +785,7 @@ def result_from_obj(obj: dict) -> SolveResult:
             f"field optimal is true, but an induced search with delta {req.delta} "
             f"below 2k = {2 * req.k} only gives a lower bound"
         )
-    return SolveResult(
+    res = SolveResult(
         request=req,
         optimum=obj["optimum"],
         witness=witness,
@@ -743,6 +794,10 @@ def result_from_obj(obj: dict) -> SolveResult:
         elapsed=obj["elapsed"],
         notes=tuple(obj["notes"]),
     )
+    problem = _witness_problem(res, req)
+    if problem is not None:
+        raise ValueError(f"field witness breaks its request: {problem}")
+    return res
 
 
 def request_to_json(req: SolveRequest) -> str:

@@ -551,6 +551,13 @@ def _result_json(**fields):
     return json.dumps(obj)
 
 
+def _degree_three_result_json(**request):
+    """JSON of the proven k=2, delta=3, D=4 result (optimum 10), its request updated."""
+    obj = json.loads(result_to_json(solve_exact(SolveRequest(k=2, delta=3, diameter=4))))
+    obj["request"].update(request)
+    return json.dumps(obj)
+
+
 def _witness_json(edit):
     """``_result_json()`` with its embedded witness object changed by ``edit``."""
     obj = json.loads(_result_json())
@@ -672,6 +679,13 @@ MALFORMED = {
     ),
     "result-witness-odd": lambda: result_from_json(_witness_json(_to_odd_lattice)),
     "result-witness-unsorted": lambda: result_from_json(_witness_json(_reverse_vertices)),
+    # the witness has maximum degree 3 and diameter 4
+    "result-witness-degree-above-request": lambda: result_from_json(
+        _degree_three_result_json(delta=2)
+    ),
+    "result-witness-diameter-above-request": lambda: result_from_json(
+        _degree_three_result_json(diameter=2)
+    ),
     "graph-odd-build-tagged-e": lambda: graph_from_json(_retagged("o", "e")),
     "graph-even-build-tagged-o": lambda: graph_from_json(_retagged("e", "o")),
     "graph-json-deep": lambda: graph_from_json("[" * 100000),
@@ -688,6 +702,8 @@ MALFORMED_MESSAGES = {
     "l1_distance-float": "non-integer entry 0.5",
     "l1_distance-str": "non-integer entry 'a'",
     "l1_distance-bool": "non-integer entry True",
+    "result-witness-degree-above-request": "maximum degree 3, above the request's delta 2",
+    "result-witness-diameter-above-request": "diameter 4, above the request's diameter 2",
 }
 
 

@@ -373,6 +373,25 @@ def test_mutated_json_parses_or_raises_value_error(seed, data):
 REGIONS = [(2, 3), (2, 4), (3, 2), (3, 3)]
 
 
+def _cut(full, need):
+    """A full BFS ``(reach, layers)`` cut at the first depth whose reach holds ``need``."""
+    reach = 0
+    for depth, layer in enumerate(full[1]):
+        reach |= layer
+        if not need & ~reach:
+            return reach, full[1][:depth + 1]
+    return full
+
+
+def _check_reaches(adj, bound, chosen, allowed, smask, got):
+    """Assert that ``got`` is what ``_Search._reaches`` owes, by fresh full BFS runs."""
+    full = [_reach(adj, 1 << v, allowed, bound) for v in chosen[:-1]]
+    # the prune decision is the full BFS's
+    assert (got is None) == any(smask & ~r for r, _ in full)
+    if got is not None:
+        assert got == [_cut(f, smask) for f in full]
+
+
 @given(st.sampled_from(REGIONS), st.data())
 @settings(max_examples=100, deadline=None)
 def test_kept_search_reach_equals_fresh_reach(region, data):
@@ -385,24 +404,49 @@ def test_kept_search_reach_equals_fresh_reach(region, data):
     # uniform bits: each region vertex is allowed, then dropped, with odds 1/2
     bits = data.draw(st.randoms(use_true_random=True)).getrandbits
     wide = smask | bits(n)
-    # most often every source but the last carries a reach
+    # most often every source but the last carries a reach, cut for a
+    # chosen set inside smask as the parent node cut it
     uncarried = data.draw(st.integers(1, len(chosen)))
-    carried = [_reach(adj, 1 << v, wide, bound) for v in chosen[:len(chosen) - uncarried]]
+    need = smask & bits(n)
+    carried = [_cut(_reach(adj, 1 << v, wide, bound), need)
+               for v in chosen[:len(chosen) - uncarried]]
+    held = 0
+    for r, _ in carried:
+        held |= r
     drop = bits(n) & ~smask
     how = data.draw(st.sampled_from(["one", "one", "spare", "any"]))
     if how == "one":
         # a single vertex leaves, so carried reaches holding it are repaired
-        held = sum(r for r, _ in carried) & ~smask
-        pool = [v for v in range(n) if held >> v & 1]
+        pool = [v for v in range(n) if (held & ~smask) >> v & 1]
         drop = 1 << data.draw(st.sampled_from(pool)) if pool else 0
     elif how == "spare":
-        # spare every carried reach, so each one is kept
-        for r, _ in carried:
-            drop &= ~r
+        # spare every carried reach, so each one is kept or grown on
+        drop &= ~held
     narrow = wide & ~drop
-    fresh = [_reach(adj, 1 << v, narrow, bound) for v in chosen[:-1]]
-    want = None if any(smask & ~r for r, _ in fresh) else fresh
-    assert search._reaches(chosen, narrow, smask, carried) == want
+    got = search._reaches(chosen, narrow, smask, carried)
+    _check_reaches(adj, bound, chosen, narrow, smask, got)
+
+
+@pytest.mark.parametrize("mode", ["exact", "induced"])
+@pytest.mark.parametrize("region", REGIONS)
+def test_search_reaches_equal_cut_fresh_bfs_at_every_node(region, mode):
+    k, bound = region
+    real = _Search._reaches
+    calls = []
+
+    def checked(self, chosen, allowed, smask, carried):
+        got = real(self, chosen, allowed, smask, carried)
+        _check_reaches(self.adj, self.bound, chosen, allowed, smask, got)
+        calls.append(got is None)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Search, "_reaches", checked)
+        for delta in range(1, 2 * k + 1):
+            solve_exact(SolveRequest(k=k, delta=delta, diameter=bound, mode=mode,
+                                     max_nodes=3000, region_cap=count_points(EVEN, k, bound)))
+    # both prune outcomes occur
+    assert True in calls and False in calls
 
 
 @given(st.sampled_from(REGIONS), st.data())
@@ -449,7 +493,7 @@ def test_kept_shed_layers_equal_fresh_layers(region, data):
         rows = rows.copy()
         rows[a] ^= 1 << b
         rows[b] ^= 1 << a
-        kept = search._drop_layers(rows, sources, smask, layers, a, b)
+        kept = search._drop_layers(rows, smask, layers, a, b)
         assert kept == fresh(rows)
         layers = kept
 

@@ -18,6 +18,7 @@ from meshddbs.solver import (
     DEFAULT_REGION_CAP,
     _Budget,
     _colours,
+    _grow,
     _reach,
     _region,
     _Search,
@@ -96,6 +97,25 @@ def test_feasibility_is_not_monotone_in_size():
     chosen, edges = search.run(6)
     assert (len(chosen), len(edges)) == (6, 6)
     assert solve_exact(SolveRequest(k=2, delta=2, diameter=3)).optimum == 6
+
+
+def test_grow_stops_at_the_first_depth_holding_need():
+    # the path 0 - 1 - 2 - 3 - 4 - 5
+    adj = [(1 << v >> 1 | 1 << v << 1) & 0b111111 for v in range(6)]
+    every = 0b111111
+    assert _grow(adj, every, 5, 1, [1], 0b100) == (0b111, [1, 2, 4])
+    # a need held already adds no layer
+    assert _grow(adj, every, 5, 1, [1], 1) == (1, [1])
+    # at hops, short of need
+    assert _grow(adj, every, 2, 1, [1], 1 << 5) == (0b111, [1, 2, 4])
+    # at an empty layer, short of need, which is not appended
+    assert _grow(adj, 0b1111, 5, 1, [1], 1 << 5) == (0b1111, [1, 2, 4, 8])
+    # given layers are extended in place and count against hops
+    layers = [1, 2]
+    assert _grow(adj, every, 3, 0b11, layers, -1) == (0b1111, [1, 2, 4, 8])
+    assert layers == [1, 2, 4, 8]
+    # _reach has nothing to stop for
+    assert _reach(adj, 1, every, 5) == (every, [1, 2, 4, 8, 16, 32])
 
 
 def test_region_cap_guard():
