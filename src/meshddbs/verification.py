@@ -37,7 +37,6 @@ from .lattice_core import (
     INFINITE,
     LatticeParity,
     _need_int,
-    _need_parity,
     _two_sweep,
     degrees,
     diameter,
@@ -335,16 +334,15 @@ def compare_bounds(parity: LatticeParity, k: int, delta: int, p: int) -> Compari
     residual is taken from the reported size.
 
     Raises:
-        ValueError: parity not a LatticeParity, k < 1, delta outside
-            [1, 2k] (a mesh vertex has only 2k neighbours) or p < 0.
-            Family refusals do not raise.
+        ValueError: k < 1 or delta outside [1, 2k] (a mesh vertex has
+            only 2k neighbours); parity not a LatticeParity or p < 0,
+            both refused by the first ``count_points`` call.  Family
+            refusals do not raise.
     """
-    _need_parity(parity)
     _need_int(k, 1, "dimension k")
     _need_int(delta, 1, "delta")
     if delta > 2 * k:
         raise ValueError(f"delta = {delta} exceeds the mesh degree bound 2k = {2 * k}")
-    _need_int(p, 0, "radius parameter p")
     lower = formulas.count_points(parity, delta // 2, p)
     upper = formulas.count_points(parity, k, p)
     approx = formulas.two_term_value(parity, k, p)

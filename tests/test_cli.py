@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -288,3 +290,35 @@ def test_usage_errors_exit_two():
     assert run("build", "--family", "nope", "--k", "2", "--p", "3").exit_code == 2
     assert run("ball", "--parity", "even", "--k", "2").exit_code == 2  # missing p
     assert run("nope").exit_code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading, lang):
+    """The first ``lang`` code block of README.md's ``## heading`` section."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("\n```", start)]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    # in order: later lines read the g.json the first one writes
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line)[1:]
+                for line in _readme_block("Command line", "sh").splitlines()
+                if line.startswith("meshddbs ")]
+    assert commands
+    for args in commands:
+        r = run(*args)
+        assert r.exit_code == 0, (args, r.output)
+
+
+def test_readme_library_example_runs_and_states_true_values():
+    ns = {}
+    exec(_readme_block("Library", "python"), ns)  # runs the block's own asserts
+    # the values its comments state
+    assert ns["family_size"]("oprime", 3, p=5) == 108
+    assert ns["count_points"](ns["cg"].graph.parity, 3, 5) == 292
+    assert (ns["res"].optimum, ns["res"].optimal) == (8, True)

@@ -644,6 +644,7 @@ MALFORMED = {
     "compare_bounds-k-float": lambda: compare_bounds(EVEN, 2.0, 2, 3),
     "compare_bounds-k-str": lambda: compare_bounds(EVEN, "2", 2, 3),
     "compare_bounds-parity-str": lambda: compare_bounds("even", 2, 2, 3),
+    "compare_bounds-p-negative": lambda: compare_bounds(EVEN, 2, 2, -1),
     "family_size-k-bool": lambda: family_size("e", True, 3),
     "family_size-p-bool": lambda: family_size("e", 2, True),
     "family_size-edge-p-false": lambda: family_size("edge", 2, False),
@@ -702,6 +703,9 @@ MALFORMED_MESSAGES = {
     "l1_distance-float": "non-integer entry 0.5",
     "l1_distance-str": "non-integer entry 'a'",
     "l1_distance-bool": "non-integer entry True",
+    "result-optimum-not-witness-size": "the witness has 4 vertices, but the optimum is 99",
+    "result-request-k-not-witness-k": "the witness has k=2, but the request has k=3",
+    "compare_bounds-p-negative": "radius parameter p must be an integer >= 0",
     "result-witness-degree-above-request": "maximum degree 3, above the request's delta 2",
     "result-witness-diameter-above-request": "diameter 4, above the request's diameter 2",
 }

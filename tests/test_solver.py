@@ -235,6 +235,69 @@ def _brute_induced(k, bound):
     return best
 
 
+def _within(members, edges, bound):
+    """True when the graph on ``members`` with ``edges`` is connected with diameter <= bound."""
+    nbrs = {v: set() for v in members}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for v in members:
+        seen = frontier = {v}
+        for _ in range(bound):
+            frontier = {u for w in frontier for u in nbrs[w]} - seen
+            seen |= frontier
+        if len(seen) < len(members):
+            return False
+    return True
+
+
+def _has_fitting_subgraph(members, edges, delta, bound):
+    """Whether some edge subset keeps every degree <= delta and ``members`` within ``bound``.
+
+    Dropping an edge only lengthens paths, so the full edge set must fit
+    ``bound`` first.  Only edges at an over-degree vertex can need to go,
+    and their subsets are tried smallest first.
+    """
+    if not _within(members, edges, bound):
+        return False
+    loose = [e for e in edges
+             if max(sum(v in f for f in edges) for v in e) > delta]
+    for size in range(len(loose) + 1):
+        for drop in itertools.combinations(loose, size):
+            kept = [e for e in edges if e not in drop]
+            if (all(sum(v in e for e in kept) <= delta for v in members)
+                    and _within(members, kept, bound)):
+                return True
+    return False
+
+
+def _brute_exact(k, bound):
+    """Per degree cap, the largest set of the half ball that holds the origin and has a
+    subgraph within the cap and ``bound``, smallest sorted index tuple first.
+
+    Every such set is a clique of the relation "l1 distance within
+    ``bound``", so every clique that holds the origin is tried, largest
+    first.
+    """
+    pts = _half_ball(k, bound)
+    dist = [[sum(abs(a - b) for a, b in zip(p, q)) for q in pts] for p in pts]
+    cliques = []
+    stack = [((0,), [j for j in range(1, len(pts)) if dist[0][j] <= 2 * bound])]
+    while stack:
+        members, cand = stack.pop()
+        cliques.append(members)
+        for i, j in enumerate(cand):
+            stack.append((members + (j,), [m for m in cand[i + 1:] if dist[j][m] <= 2 * bound]))
+    cliques.sort(key=lambda c: (-len(c), c))
+    best = {}
+    for delta in range(1, 2 * k + 1):
+        top = next(c for c in cliques if _has_fitting_subgraph(
+            c, [(a, b) for a, b in itertools.combinations(c, 2) if dist[a][b] == 2],
+            delta, bound))
+        best[delta] = [list(pts[i]) for i in top]
+    return best
+
+
 #: (k, diameter) of the exhaustive induced check; every half ball holds at most 13 points.
 BRUTE_INSTANCES = [(1, d) for d in range(1, 6)] + [(2, d) for d in range(1, 4)] + [
     (3, d) for d in range(1, 3)]
@@ -250,6 +313,21 @@ def test_induced_mode_matches_brute_force(k, bound):
         assert res.optimum == len(verts), (delta, res.optimum, len(verts))
         assert mesh_to_obj(res.witness)["vertices"] == verts, delta
         assert verify_witness(res, req)
+
+
+#: (k, diameter) of the exact-mode oracle check; k=2, D=4 is left out, as its
+#: oracle runs for seconds.
+EXACT_INSTANCES = BRUTE_INSTANCES + [(1, d) for d in range(6, 11)] + [(4, 1), (4, 2)]
+
+
+@pytest.mark.parametrize("k,bound", EXACT_INSTANCES)
+def test_exact_mode_matches_reference_oracle(k, bound):
+    # Every prune of the exact search must keep the optimum, the proof
+    # and the lexicographically smallest witness of the reference oracle.
+    for delta, verts in _brute_exact(k, bound).items():
+        res = solve_exact(SolveRequest(k=k, delta=delta, diameter=bound))
+        assert (res.optimum, res.optimal) == (len(verts), True), delta
+        assert mesh_to_obj(res.witness)["vertices"] == verts, delta
 
 
 @pytest.mark.parametrize("k,delta,bound,optimum", [(3, 2, 5, 10), (3, 3, 3, 8)])
