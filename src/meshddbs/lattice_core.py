@@ -207,6 +207,10 @@ def _keys(pts: list, k: int, parity: LatticeParity):
     balanced-radix digits are unique: two keys differ by +-2 * R**m
     exactly when the points differ by 2 on one axis alone, that is,
     exactly when they are mesh neighbours.
+
+    Two modules use the keys: ``MeshGraph`` to sort its vertices and test
+    its edges, and ``solver._region`` to find the mesh neighbours of its
+    points and compare vertex sets under the mesh's symmetries.
     """
     if set(map(len, pts)) - {k}:
         return None

@@ -96,11 +96,13 @@ adjacent axes), translated back, sorts below the set itself: were the
 leaf feasible, a smaller feasible set would come first.  Any subset of
 the group is sound, and the generators catch nearly every leaf that all
 2^k k! - 1 maps would, at a fraction of the cost.  Region points carry
-integer keys that sort as the points do and turn translation into a
-subtraction (see ``_symmetry_keys``); the key lists are built on the
-first shedding leaf of a solve.  Leaves that need no shedding are cheap
-and skip the test, so at delta = 2k and in induced mode the search is
-unchanged.  Only leaves are cut, so the optimum, the optimal flag and
+the integer keys of ``lattice_core._keys``, which sort as the points do
+and turn translation into a subtraction; ``_region`` builds them, and
+their images under the generators, with the region.  Leaves that need
+no shedding are cheap and skip the test, so at delta = 2k and in induced
+mode the search is unchanged.  A shedding leaf takes the test before its
+distance check: either cut returns nothing, so the order changes no
+node count.  Only leaves are cut, so the optimum, the optimal flag and
 the witness stay.
 
 Induced degree cut.  In induced mode no edge is dropped, so a chosen
@@ -115,9 +117,10 @@ meets the same lexicographically smallest witness, in fewer nodes.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial, reduce
-from operator import mul, or_
+from functools import reduce
+from operator import or_
 
 from . import formulas
 from .lattice_core import (
@@ -127,6 +130,7 @@ from .lattice_core import (
     _int_at_least,
     _json_dumps,
     _json_loads,
+    _keys,
     _need_int,
     _need_keys,
     diameter,
@@ -316,15 +320,14 @@ def _colours(compat, cand, need):
 
 
 class _Search:
-    """Fixed-size subset search over the canonical half ball.
+    """Fixed-size subset search over the canonical half ball ``region``, a ``_Region``.
 
-    ``symmetry()`` returns the ``(keys, images)`` pair of ``_symmetry_keys``
-    for the region that ``adj`` describes; the first shedding leaf calls it.
+    ``bound`` is the hop bound of every distance test; a solve passes the
+    region's radius.
     """
 
-    def __init__(self, adj, compat, delta, bound, mode, budget, symmetry):
-        self.adj = adj
-        self.compat = compat
+    def __init__(self, region, delta, bound, mode, budget):
+        _, self.adj, self.compat, self.keys, self.images = region
         self.delta = delta
         self.bound = bound
         self.mode = mode
@@ -332,9 +335,7 @@ class _Search:
         self.target = 0
         # Every feasible set is a clique of compat, but below delta = 2k
         # the colouring costs more than it saves (see the module docstring).
-        self.colour_bound = all(a.bit_count() <= delta for a in adj)
-        self.symmetry = symmetry
-        self.keys = self.images = None
+        self.colour_bound = all(a.bit_count() <= delta for a in self.adj)
 
     def run(self, target):
         self.target = target
@@ -414,19 +415,22 @@ class _Search:
         return out
 
     def _leaf(self, chosen, smask, reaches):
-        # Inside smask the mesh graph is rows below, so these layers are
-        # also the shedding's starting layers.
+        rows = [0] * len(self.adj)
+        for v in chosen:
+            rows[v] = self.adj[v] & smask
+        over = max(rows[v].bit_count() for v in chosen) > self.delta
+        # The cheaper cut first: a leaf with a smaller image is cut
+        # whatever its distances are.
+        if over and self._has_smaller_image(chosen):
+            return None
+        # Inside smask the mesh graph is rows, so these layers are also
+        # the shedding's starting layers.
         reaches = self._reaches(chosen, smask, smask, reaches)
         if reaches is None:
             # Removing edges only disconnects or stretches distances, so
             # no edge subset of this induced graph can help.
             return None
-        rows = [0] * len(self.adj)
-        for v in chosen:
-            rows[v] = self.adj[v] & smask
-        if max(rows[v].bit_count() for v in chosen) > self.delta:
-            if self._has_smaller_image(chosen):
-                return None
+        if over:
             rows = self._shed_degrees(rows, chosen, smask, [ls for _, ls in reaches])
             if rows is None:
                 return None
@@ -443,11 +447,12 @@ class _Search:
         """Whether a generator maps ``chosen`` onto a set the search visits first.
 
         The image is translated back to the canonical frame by
-        subtracting its smallest key, then compared as a sorted key list
-        with the keys of ``chosen``, which index order already sorts.
+        subtracting its smallest key.  Keys are linear, so that leaves the
+        keys of the translated points, which lie in the region (see the
+        module docstring), where keys sort as the points do.  The sorted
+        key list is compared with the keys of ``chosen``, which index
+        order already sorts.
         """
-        if self.keys is None:
-            self.keys, self.images = self.symmetry()
         own = [self.keys[v] for v in chosen]
         for image in self.images:
             moved = sorted([image[v] for v in chosen])
@@ -473,45 +478,46 @@ class _Search:
         in ``fixed``, and a vertex keeping more than delta edges cuts the
         node.
         """
-        def attempt(rows, fixed, layers):
-            self.budget.spend()
-            over = [v for v in chosen if rows[v].bit_count() > self.delta]
-            if not over:
-                return rows
-            bad = over[0]
-            fixed = fixed.copy()
-            branches = []
-            tried = 0  # over-degree vertices whose edges were all tried
-            for v in over:
-                m = rows[v] & ~fixed[v] & ~tried
-                while m:
-                    b = m & -m
-                    m ^= b
-                    u = b.bit_length() - 1
-                    rows[v] ^= b
-                    rows[u] ^= 1 << v
-                    kept = self._drop_layers(rows, smask, layers, v, u)
-                    if kept is None:
-                        # Its lone removal breaks a distance, and so does
-                        # its removal from any state below: keep it.
-                        fixed[v] |= b
-                        fixed[u] |= 1 << v
-                    elif v == bad:
-                        branches.append((b, rows.copy(), kept))
-                    rows[v] ^= b
-                    rows[u] ^= 1 << v
-                if fixed[v].bit_count() > self.delta:
-                    return None
-                tried |= 1 << v
-            for b, trimmed, kept in branches:
-                found = attempt(trimmed, fixed, kept)
-                if found is not None:
-                    return found
-                fixed[bad] |= b
-                fixed[b.bit_length() - 1] |= 1 << bad
-            return None
+        return self._shed(rows, [0] * len(rows), chosen, smask, layers)
 
-        return attempt(rows, [0] * len(rows), layers)
+    def _shed(self, rows, fixed, chosen, smask, layers):
+        """One node of ``_shed_degrees``; ``fixed`` marks the edges its subtree keeps."""
+        self.budget.spend()
+        over = [v for v in chosen if rows[v].bit_count() > self.delta]
+        if not over:
+            return rows
+        bad = over[0]
+        fixed = fixed.copy()
+        branches = []
+        tried = 0  # over-degree vertices whose edges were all tried
+        for v in over:
+            m = rows[v] & ~fixed[v] & ~tried
+            while m:
+                b = m & -m
+                m ^= b
+                u = b.bit_length() - 1
+                rows[v] ^= b
+                rows[u] ^= 1 << v
+                kept = self._drop_layers(rows, smask, layers, v, u)
+                if kept is None:
+                    # Its lone removal breaks a distance, and so does
+                    # its removal from any state below: keep it.
+                    fixed[v] |= b
+                    fixed[u] |= 1 << v
+                elif v == bad:
+                    branches.append((b, rows.copy(), kept))
+                rows[v] ^= b
+                rows[u] ^= 1 << v
+            if fixed[v].bit_count() > self.delta:
+                return None
+            tried |= 1 << v
+        for b, trimmed, kept in branches:
+            found = self._shed(trimmed, fixed, chosen, smask, kept)
+            if found is not None:
+                return found
+            fixed[bad] |= b
+            fixed[b.bit_length() - 1] |= 1 << bad
+        return None
 
     def _drop_layers(self, rows, smask, layers, a, b):
         """BFS layers of each source once edge (a, b) is gone from ``rows``.
@@ -543,45 +549,38 @@ class _Search:
         return out
 
 
+_Region = namedtuple("_Region", "pts adj compat keys images")
+
+
 def _region(k, bound):
-    """The canonical half ball of radius ``bound`` and its mesh adjacency bitmasks."""
+    """The canonical half ball of radius ``bound``, as a ``_Region``.
+
+    ``pts`` holds its points in sorted order, ``adj`` their mesh
+    adjacency bitmasks and ``compat[i]`` the other points within
+    ``bound`` hops of point i inside the region.  ``keys`` are the
+    points' keys from ``lattice_core._keys``: they sort as the points
+    do, a mesh step is a key step, and with no offset the key of a
+    difference is the difference of the keys.  ``images`` holds one key
+    list per generator of the mesh's symmetry group: the reflection of
+    each axis, then the swap of each pair of adjacent axes.
+    """
     ball = formulas.ball_enumerate(formulas.BallSpec(LatticeParity.EVEN, k, bound))
     # The origin and the points whose first nonzero coordinate is
     # positive, i.e. pt >= the origin: the half of the ball that can
     # follow a lexicographically minimal origin.
     pts = sorted(pt for pt in ball if pt >= (0,) * k)
-    pos = {pt: i for i, pt in enumerate(pts)}
-    adj = [0] * len(pts)
-    for i, pt in enumerate(pts):
-        for axis in range(k):
-            for step in (-2, 2):
-                q = pt[:axis] + (pt[axis] + step,) + pt[axis + 1:]
-                j = pos.get(q)
-                if j is not None:
-                    adj[i] |= 1 << j
-    return pts, adj
-
-
-def _symmetry_keys(pts, bound):
-    """Integer keys of the region points, and their images under each generator.
-
-    A point's key reads its doubled coordinates as signed digits in
-    radix 4 * bound + 1, first axis most significant.  Keys are linear,
-    so the key of a difference is the difference of the keys.  Two
-    points of the ball differ by at most 4 * bound in each coordinate,
-    less than the radix, so their keys compare as the points do.
-    ``images`` holds one key list per generator of the mesh's symmetry
-    group: the reflection of each axis, then the swap of each pair of
-    adjacent axes.
-    """
-    k = len(pts[0])
-    weights = [(4 * bound + 1) ** (k - 1 - a) for a in range(k)]
-    keys = [sum(map(mul, p, weights)) for p in pts]
-    # A reflection or a swap changes one or two digits of each key.
+    keys, steps = _keys(pts, k, LatticeParity.EVEN)
+    at = dict(zip(keys, range(len(pts))))
+    adj = [sum(1 << at[x + s] for s in steps if x + s in at) for x in keys]
+    every = (1 << len(pts)) - 1
+    compat = [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i) for i in range(len(pts))]
+    # The digit weights, first axis first, are the positive steps halved;
+    # a reflection or a swap changes one or two digits of each key.
+    weights = sorted((s // 2 for s in steps if s > 0), reverse=True)
     images = [[x - 2 * p[a] * w for x, p in zip(keys, pts)] for a, w in enumerate(weights)]
     images += [[x + (p[a + 1] - p[a]) * (weights[a] - weights[a + 1]) for x, p in zip(keys, pts)]
                for a in range(k - 1)]
-    return keys, images
+    return _Region(pts, adj, compat, keys, images)
 
 
 def _proves_optimum(req: SolveRequest) -> bool:
@@ -626,15 +625,11 @@ def solve_exact(req: SolveRequest) -> SolveResult:
             f"{req.region_cap}; raise region_cap to search this instance"
         )
 
-    pts, adj = _region(req.k, bound)
-    n_r = len(pts)
-    every = (1 << n_r) - 1
-    compat = [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i) for i in range(n_r)]
-
+    region = _region(req.k, bound)
+    pts = region.pts
     budget = _Budget(req.max_nodes, req.max_seconds)
-    search = _Search(adj, compat, delta, bound, req.mode, budget,
-                     partial(_symmetry_keys, pts, bound))
-    n_hi = min(n_r, _bipartite_moore(delta, bound))
+    search = _Search(region, delta, bound, req.mode, budget)
+    n_hi = min(len(pts), _bipartite_moore(delta, bound))
 
     found = None
     exhausted = True

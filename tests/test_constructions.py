@@ -11,6 +11,7 @@ import meshddbs
 from meshddbs import (
     LatticeParity,
     MeshGraph,
+    SolveRequest,
     build_cycle,
     build_degree_three,
     build_edge,
@@ -27,6 +28,7 @@ from meshddbs import (
     graph_from_json,
     graph_to_json,
     max_degree,
+    solve_exact,
 )
 from meshddbs import constructions, lattice_core
 from meshddbs.constructions import _FAMILIES, FAMILY_CODES, BuildParams
@@ -300,21 +302,39 @@ def test_raw_generators_give_index_pairs(family):
         assert MeshGraph(built.graph.parity, k, verts, pairs) == built.graph
 
 
-def test_pipeline_leaves_no_cyclic_garbage():
-    # Building, writing, reading and checking a graph make no reference
-    # cycles, which is why they may run with the collector paused: with it
-    # off throughout, a full collection afterwards finds nothing to free.
+def _cyclic_garbage(run):
+    """Objects a full collection frees once ``run()`` ran with the collector off."""
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for family in FAMILY_CODES:
-            for k, p, parity in _pinned_cells(family):
-                check_conditions(graph_from_json(graph_to_json(build_family(family, k, p, parity))))
-        assert gc.collect() == 0
+        run()
+        return gc.collect()
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_pipeline_leaves_no_cyclic_garbage():
+    # Building, writing, reading and checking a graph make no reference
+    # cycles, which is why they may run with the collector paused: with it
+    # off throughout, a full collection afterwards finds nothing to free.
+    def run():
+        for family in FAMILY_CODES:
+            for k, p, parity in _pinned_cells(family):
+                check_conditions(graph_from_json(graph_to_json(build_family(family, k, p, parity))))
+
+    assert _cyclic_garbage(run) == 0
+
+
+def test_solver_leaves_no_cyclic_garbage():
+    # A solve that sheds degrees, and one that runs out of its node
+    # budget, make no reference cycles either.
+    def run():
+        solve_exact(SolveRequest(k=2, delta=3, diameter=4))
+        solve_exact(SolveRequest(k=3, delta=3, diameter=4, max_nodes=8000, region_cap=129))
+
+    assert _cyclic_garbage(run) == 0
 
 
 PUBLIC_BUILDERS = {

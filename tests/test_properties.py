@@ -3,7 +3,6 @@
 import json
 import re
 from enum import IntEnum
-from functools import partial
 from itertools import permutations, product
 from math import prod
 
@@ -37,7 +36,6 @@ from meshddbs.solver import (
     _reach,
     _region,
     _Search,
-    _symmetry_keys,
     request_from_json,
     request_to_json,
     result_from_json,
@@ -396,9 +394,10 @@ def _check_reaches(adj, bound, chosen, allowed, smask, got):
 @settings(max_examples=100, deadline=None)
 def test_kept_search_reach_equals_fresh_reach(region, data):
     k, bound = region
-    pts, adj = _region(k, bound)
+    half = _region(k, bound)
+    adj = half.adj
     n = len(adj)
-    search = _Search(adj, None, 2 * k, bound, "exact", None, partial(_symmetry_keys, pts, bound))
+    search = _Search(half, 2 * k, bound, "exact", None)
     chosen = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=6)))
     smask = sum(1 << v for v in chosen)
     # uniform bits: each region vertex is allowed, then dropped, with odds 1/2
@@ -453,7 +452,8 @@ def test_search_reaches_equal_cut_fresh_bfs_at_every_node(region, mode):
 @settings(max_examples=60, deadline=None)
 def test_kept_shed_layers_equal_fresh_layers(region, data):
     k, bound = region
-    pts, adj = _region(k, bound)
+    half = _region(k, bound)
+    adj = half.adj
     # grow a connected vertex set from a random start
     chosen = [data.draw(st.integers(0, len(adj) - 1))]
     smask = 1 << chosen[0]
@@ -468,7 +468,7 @@ def test_kept_shed_layers_equal_fresh_layers(region, data):
     chosen.sort()
     rows = [adj[v] & smask if smask >> v & 1 else 0 for v in range(len(adj))]
     hops = data.draw(st.integers(1, 2 * bound))
-    search = _Search(adj, None, 2 * k, hops, "exact", None, partial(_symmetry_keys, pts, bound))
+    search = _Search(half, 2 * k, hops, "exact", None)
     sources = chosen[:-1]
 
     def fresh(rows):
@@ -541,7 +541,8 @@ BOX_SIDES = {
 @settings(max_examples=100, deadline=None)
 def test_shedding_finds_an_edge_subset_exactly_when_one_exists(region, data):
     k, bound = region
-    pts, adj = _region(k, bound)
+    half = _region(k, bound)
+    pts, adj = half.pts, half.adj
     # a box of region points less at most one point; the leaf is the
     # connected part that holds the box's smallest remaining vertex
     sides = [2 * s for s in data.draw(st.sampled_from(BOX_SIDES[k]))]
@@ -565,8 +566,7 @@ def test_shedding_finds_an_edge_subset_exactly_when_one_exists(region, data):
     # one or two below the largest degree, so that shedding has work;
     # at least 2: a cap of 1 fits no connected graph on 3 or more vertices
     delta = max(max(rows[v].bit_count() for v in chosen) - data.draw(st.integers(1, 2)), 2)
-    search = _Search(adj, None, delta, hops, "exact", _Budget(None, None),
-                     partial(_symmetry_keys, pts, bound))
+    search = _Search(half, delta, hops, "exact", _Budget(None, None))
     layers = [_reach(rows, 1 << v, smask, hops)[1] for v in chosen[:-1]]
     shed = search._shed_degrees(rows, chosen, smask, layers)
 
@@ -607,10 +607,36 @@ def test_symmetry_keys_sort_as_the_points():
     # Canonical sets and their translated images lie in the half ball, so
     # every comparison the leaf test makes is between two of its points.
     for k, bound in SYMMETRY_REGIONS:
-        pts = _region(k, bound)[0]
-        keys = _symmetry_keys(pts, bound)[0]
-        for (p, kp), (q, kq) in product(zip(pts, keys), repeat=2):
+        region = _region(k, bound)
+        for (p, kp), (q, kq) in product(zip(region.pts, region.keys), repeat=2):
             assert (kp < kq) == (p < q), (k, bound, p, q)
+
+
+#: (k, radius) of the region oracle: k = 1..4 and every radius up to 4.
+ORACLE_REGIONS = [(k, d) for k in range(1, 5) for d in range(1, 5)]
+
+
+def test_region_matches_point_tuple_rules():
+    # Adjacency is the mesh rule on point tuples, compatibility a fresh
+    # BFS inside the region, and each image list sorts the points as their
+    # reflected or swapped tuples sort.
+    for k, bound in ORACLE_REGIONS:
+        region = _region(k, bound)
+        pts = region.pts
+        n = len(pts)
+        at = {p: i for i, p in enumerate(pts)}
+        adj = [sum(1 << at[q] for a in range(k) for s in (-2, 2)
+                   if (q := p[:a] + (p[a] + s,) + p[a + 1:]) in at) for p in pts]
+        assert region.adj == adj, (k, bound)
+        every = (1 << n) - 1
+        assert region.compat == [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i)
+                                 for i in range(n)], (k, bound)
+        maps = [lambda p, a=a: p[:a] + (-p[a],) + p[a + 1:] for a in range(k)]
+        maps += [lambda p, a=a: p[:a] + (p[a + 1], p[a]) + p[a + 2:] for a in range(k - 1)]
+        assert len(region.images) == len(maps), (k, bound)
+        for image, g in zip(region.images, maps):
+            assert (sorted(range(n), key=image.__getitem__)
+                    == sorted(range(n), key=lambda i: g(pts[i]))), (k, bound)
 
 
 # About one drawn set in a hundred tells a key radix of bound + 1 from a sound one.
@@ -618,9 +644,8 @@ def test_symmetry_keys_sort_as_the_points():
 @settings(max_examples=500, deadline=None)
 def test_leaf_symmetry_test_matches_point_tuples(region, data):
     k, bound = region
-    pts, adj = _region(k, bound)
-    every = (1 << len(pts)) - 1
-    compat = [_reach(adj, 1 << i, every, bound)[0] & ~(1 << i) for i in range(len(pts))]
+    half = _region(k, bound)
+    pts, compat = half.pts, half.compat
     # a set of pairwise compatible vertices that holds the origin, as a leaf does
     chosen = [0]
     cand = compat[0]
@@ -631,7 +656,7 @@ def test_leaf_symmetry_test_matches_point_tuples(region, data):
         chosen.append(v)
         cand &= compat[v]
     chosen.sort()
-    search = _Search(adj, compat, 1, bound, "exact", None, partial(_symmetry_keys, pts, bound))
+    search = _Search(half, 1, bound, "exact", None)
     cut = search._has_smaller_image(chosen)
 
     own = [pts[v] for v in chosen]

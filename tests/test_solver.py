@@ -22,7 +22,6 @@ from meshddbs.solver import (
     _reach,
     _region,
     _Search,
-    _symmetry_keys,
     request_from_json,
     request_to_json,
     result_from_json,
@@ -88,11 +87,7 @@ def test_feasibility_is_not_monotone_in_size():
     # The 6-cycle fits degree 2 and diameter 3, but the only connected
     # 5-vertex graph of degree <= 2 in the bipartite mesh is the path of
     # diameter 4.  Refuting 5 says nothing about 6, so targets descend.
-    pts, adj = _region(2, 3)
-    every = (1 << len(adj)) - 1
-    compat = [_reach(adj, 1 << i, every, 3)[0] & ~(1 << i) for i in range(len(adj))]
-    search = _Search(adj, compat, 2, 3, "exact", _Budget(None, None),
-                     functools.partial(_symmetry_keys, pts, 3))
+    search = _Search(_region(2, 3), 2, 3, "exact", _Budget(None, None))
     assert search.run(5) is None
     chosen, edges = search.run(6)
     assert (len(chosen), len(edges)) == (6, 6)

@@ -17,7 +17,10 @@ differently here than in separate processes: pausing the collector
 while graphs are built, written and read gave 0.81 (seed 1) and 0.75
 (seed 201) here, but 0.84 in ten alternating pairs of separate
 processes (verify_sweep).  Size such a change with alternating pairs of
-separate ``perfbench/run.py`` processes.
+separate ``perfbench/run.py`` processes.  Solver micro-changes need them
+too: on solve_ladder (seed 1, 14 repetitions, 2-core box) a change of
+about 4 % read 0.963 with per-repetition quartiles 0.892 and 1.003, a
+gap wider than the change being sized.
 
 For each side the script prints the sum over items of the per-item
 median time, then the ratio CHANGE/BASE; below 1 means CHANGE is
