@@ -58,9 +58,11 @@ def count_points(parity: LatticeParity, k: int, p: int) -> int:
     _need_int(p, 0, "radius parameter p")
     if k == 0:
         return 1 if parity is LatticeParity.EVEN else 2
+    # Terms with i > p vanish, since comb(p, i) = 0 there.
+    terms = range(min(k, p) + 1)
     if parity is LatticeParity.EVEN:
-        return sum((1 << i) * comb(k, i) * comb(p, i) for i in range(k + 1))
-    return sum((1 << i) * (comb(k, i) + comb(k - 1, i)) * comb(p, i) for i in range(k + 1))
+        return sum((1 << i) * comb(k, i) * comb(p, i) for i in terms)
+    return sum((1 << i) * (comb(k, i) + comb(k - 1, i)) * comb(p, i) for i in terms)
 
 
 def ball_count(spec: BallSpec) -> int:

@@ -490,16 +490,6 @@ def is_connected(g: MeshGraph) -> bool:
     return not g.vertices or min(_int_bfs(g._iadj, 0)) >= 0
 
 
-def _two_sweep(g: MeshGraph, dist: list) -> int:
-    """Exact diameter of a tree ``g``, given ``dist``, the hop counts of a BFS from any vertex.
-
-    The classic two-sweep argument: a vertex farthest from any start
-    ends a longest path, so one more BFS, from it, reaches the diameter.
-    """
-    far = max(range(len(dist)), key=dist.__getitem__)
-    return max(_int_bfs(g._iadj, far))
-
-
 def _bit_parallel_diameter(iadj) -> int:
     """Diameter of a connected graph, from every source at once.
 
@@ -518,18 +508,22 @@ def _bit_parallel_diameter(iadj) -> int:
     return t
 
 
-def diameter(g: MeshGraph):
+def diameter(g: MeshGraph, hops=None):
     """Exact diameter in hops, INFINITE when disconnected.
 
-    Trees are resolved with two sweeps.  Any other connected graph takes
-    the cheaper of two exact scans: the bit-parallel sweep takes one
-    pass per unit of diameter, each costing about three BFS runs, and
-    the all-pairs scan takes n BFS runs.  The BFS from vertex 0 bounds
-    the diameter by twice its eccentricity, so the sweep runs when six
-    times that eccentricity is below n (compact graphs such as the odd
-    families) and the all-pairs scan otherwise (long cycles and paths).
-    Either way the work grows with n squared, so keep an eye on graph
-    size at call sites.
+    ``hops``, when given, must be ``hop_counts(g, v)`` for some vertex
+    ``v`` of ``g``; it stands in for the first BFS, which otherwise runs
+    from vertex 0.  That first BFS decides connectivity and bounds the
+    diameter by twice its eccentricity.  Trees are resolved with two
+    sweeps, by the classic argument: a vertex farthest from any start
+    ends a longest path, so one more BFS, from it, reaches the diameter.
+    Any other connected graph takes the cheaper of two exact scans: the
+    bit-parallel sweep takes one pass per unit of diameter, each costing
+    about three BFS runs, and the all-pairs scan takes n BFS runs.  So
+    the sweep runs when six times the first BFS's eccentricity is below
+    n (compact graphs such as the odd families) and the all-pairs scan
+    otherwise (long cycles and paths).  Either way the work grows with
+    n squared, so keep an eye on graph size at call sites.
 
     Raises:
         ValueError: the graph has no vertices.
@@ -538,13 +532,13 @@ def diameter(g: MeshGraph):
     if n == 0:
         raise ValueError("diameter of an empty graph is undefined")
     iadj = g._iadj
-    dist0 = _int_bfs(iadj, 0)
-    if min(dist0) < 0:
+    dist = _int_bfs(iadj, 0) if hops is None else hops
+    if min(dist) < 0:
         return INFINITE
     if g._edge_count == n - 1:
         # Connected with n-1 edges means a tree.
-        return _two_sweep(g, dist0)
-    if 6 * max(dist0) < n:
+        return max(_int_bfs(iadj, max(range(n), key=dist.__getitem__)))
+    if 6 * max(dist) < n:
         return _bit_parallel_diameter(iadj)
     return max(max(_int_bfs(iadj, s)) for s in range(n))
 

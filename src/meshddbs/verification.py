@@ -37,7 +37,6 @@ from .lattice_core import (
     INFINITE,
     LatticeParity,
     _need_int,
-    _two_sweep,
     degrees,
     diameter,
     edge_count,
@@ -223,16 +222,18 @@ def check_conditions(cg: CenteredGraph) -> ConditionReport:
     The checks after it are the family's row of ``_CONDITIONS``, whose
     functions state the conditions.  The exact diameter is measured at
     most once: when a family's condition asks for it, at or below
-    ``DIAMETER_SCAN_LIMIT`` vertices, or on a tree, where the BFS from
-    the first center is the first of the two sweeps.
+    ``DIAMETER_SCAN_LIMIT`` vertices, or on a tree.  The BFS from the
+    first center is handed to ``diameter`` as its first BFS, so on a
+    tree it is the first of the two sweeps.
     """
     g = cg.graph
     n = len(g.vertices)
     center_dists = [hop_counts(g, c) for c in cg.centers]
-    connected = all(min(d) >= 0 for d in center_dists) if n > 1 else True
+    # Centers are vertices, so n >= 1, and one BFS decides connectivity.
+    connected = min(center_dists[0]) >= 0
     eccs = tuple(max(d) if min(d) >= 0 else INFINITE for d in center_dists)
     tree = connected and edge_count(g) == n - 1
-    diam = functools.cache(lambda: _two_sweep(g, center_dists[0]) if tree else diameter(g))
+    diam = functools.cache(lambda: diameter(g, center_dists[0]))
     # MeshGraph refuses any edge that is not a mesh edge, built or parsed.
     checks = (ConditionCheck("mesh-edges", True),
               *_CONDITIONS[cg.family](cg, center_dists, connected, diam))

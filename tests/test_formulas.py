@@ -101,6 +101,15 @@ def test_three_term_recurrence():
             )
 
 
+def test_large_dimension_at_small_radius():
+    # terms past i = p vanish, so the sum stops at min(k, p) and k = 10^5 is immediate
+    k = 10 ** 5
+    assert count_points(EVEN, k, 1) == 2 * k + 1
+    assert count_points(EVEN, k, 2) == 2 * k * k + 2 * k + 1
+    assert count_points(ODD, k, 1) == 4 * k
+    assert count_points(ODD, k, 2) == 4 * k * k + 2
+
+
 def test_leading_terms_exact():
     assert leading_terms(EVEN, 2) == (Fraction(2), Fraction(2))
     assert leading_terms(EVEN, 3) == (Fraction(4, 3), Fraction(2))

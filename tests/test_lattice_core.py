@@ -38,7 +38,7 @@ from meshddbs import (
     validate_point,
 )
 from meshddbs import lattice_core
-from meshddbs.lattice_core import true_coordinate
+from meshddbs.lattice_core import hop_counts, true_coordinate
 from meshddbs.solver import (
     request_from_json,
     result_from_json,
@@ -338,6 +338,7 @@ def test_diameter_grid_cycle():
 def test_diameter_disconnected_is_infinite():
     g = MeshGraph(EVEN, 2, [(0, 0), (0, 2), (4, 4)], [((0, 0), (0, 2))])
     assert diameter(g) is INFINITE
+    assert all(diameter(g, hop_counts(g, v)) is INFINITE for v in g.vertices)
     assert math.isinf(eccentricity(g, (4, 4)))
     assert not is_connected(g)
 
@@ -393,6 +394,25 @@ def test_diameter_of_the_cyclic_verify_cells(family, k, p, want):
     g = build_family(family, k, p).graph
     assert edge_count(g) > len(g.vertices) - 1
     assert diameter(g) == want == max(eccentricity(g, v) for v in g.vertices)
+
+
+@pytest.mark.parametrize("family, k, p, parity", [
+    ("e", 2, 3, EVEN), ("eprime", 3, 2, EVEN), ("g3", 2, 4, EVEN), ("edge", 2, None, EVEN),
+    ("cycle", 2, 3, EVEN), ("cycle", 2, 3, ODD), ("o", 3, 3, ODD), ("oprime", 2, 5, ODD),
+])
+def test_diameter_from_any_first_bfs(family, k, p, parity):
+    # any vertex's hop counts may stand in for the BFS from vertex 0
+    g = build_family(family, k, p, parity).graph
+    n = len(g.vertices)
+    want = diameter(g)
+    sides = set()
+    for v in g.vertices:
+        hops = hop_counts(g, v)
+        assert diameter(g, hops) == want, v
+        sides.add(6 * max(hops) < n)
+    if family == "oprime":
+        # the scan choice differs by start vertex here: bit-parallel and all-pairs
+        assert sides == {True, False}
 
 
 def test_centered_graph_validates_center():

@@ -25,6 +25,7 @@ from meshddbs import (
 from meshddbs import constructions, verification
 from meshddbs.formulas import BallSpec, ball_enumerate
 from meshddbs.constructions import FAMILY_CODES, _centers
+from meshddbs.lattice_core import hop_counts
 from meshddbs.verification import CSV_HEADER, DIAMETER_SCAN_LIMIT, ComparisonRow
 
 EVEN = LatticeParity.EVEN
@@ -289,8 +290,8 @@ def test_report_lines_format():
 
 
 def test_diameter_scanned_on_large_trees():
-    # the even families are trees, so the cheap two-sweep diameter is
-    # reported even above the scan limit
+    # the even families are trees, so the diameter is reported even above
+    # the scan limit: its first sweep is the center's BFS, one more is cheap
     rep = check_conditions(build_family("eprime", 2, p=20))
     assert rep.vertex_count == 829
     assert rep.diameter == 40
@@ -315,23 +316,19 @@ def test_diameter_measured_above_the_limit_when_a_condition_needs_it(parity, p, 
 
 
 def test_diameter_measured_at_most_once_per_report(monkeypatch):
-    # A tree takes its second sweep from the first center's BFS; other graphs call diameter.
+    # Every report hands diameter the first center's BFS, so a tree's first sweep is not rerun.
     calls = []
-    two_sweep = verification._two_sweep
     monkeypatch.setattr(verification, "diameter",
-                        lambda g: calls.append("diameter") or diameter(g))
-    monkeypatch.setattr(verification, "_two_sweep",
-                        lambda g, dist: calls.append("two-sweep") or two_sweep(g, dist))
+                        lambda g, hops=None: calls.append(hops) or diameter(g, hops))
     trees = set()
     for family in FAMILY_CODES:
         calls.clear()
         cg = build_family(family, 2, None if family == "edge" else 4)
         rep = check_conditions(cg)
         g = cg.graph
-        tree = edge_count(g) == len(g.vertices) - 1
-        assert calls == ["two-sweep" if tree else "diameter"], family
+        assert calls == [hop_counts(g, cg.centers[0])], family
         assert rep.diameter == diameter(g), family
-        if tree:
+        if edge_count(g) == len(g.vertices) - 1:
             trees.add(family)
     assert {"e", "eprime", "edge"} <= trees
 
